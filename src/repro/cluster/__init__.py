@@ -11,13 +11,15 @@ answer, built from the planes below it rather than beside them:
 * :mod:`repro.cluster.ring` — consistent-hash routing over shard groups
   with virtual nodes (stable: failover moves zero keys);
 * :mod:`repro.cluster.transport` — the message plane: a narrow
-  request/response :class:`Transport` protocol plus the in-process
-  :class:`LocalTransport` (deterministic, fault-injectable — drops,
-  delays, partitions — via the runtime's :class:`FaultInjector`);
+  request/response :class:`Transport` protocol, the in-process
+  :class:`LocalTransport` (deterministic delivery), and
+  :class:`FaultyTransport`, the one fault surface — drops, delays,
+  partitions via the runtime's :class:`FaultInjector`, plus counters —
+  wrapped around either transport;
 * :mod:`repro.cluster.socket_transport` — the same protocol over real
   TCP on the runtime's selector substrate (:mod:`repro.runtime.io`):
-  length-prefixed JSON frames, pooled handler dispatch, the identical
-  fault surface, and ``add_route`` for cross-process peers;
+  length-prefixed JSON frames, pooled handler dispatch, and
+  ``add_route`` for cross-process peers;
 * :mod:`repro.cluster.node` — a shard replica: the PR3
   :class:`~repro.bus.SegmentLog` as the replication stream, leader →
   follower frame shipping with CRC-checked apply and checkpointed
@@ -45,7 +47,12 @@ from repro.cluster.coordinator import (
 from repro.cluster.node import ClusterNode, NodeConfig, NodeRole
 from repro.cluster.ring import Ring
 from repro.cluster.socket_transport import SocketTransport
-from repro.cluster.transport import LocalTransport, Message, Transport
+from repro.cluster.transport import (
+    FaultyTransport,
+    LocalTransport,
+    Message,
+    Transport,
+)
 
 __all__ = [
     "COORDINATOR_ID",
@@ -54,6 +61,7 @@ __all__ = [
     "ClusterCoordinator",
     "ClusterNode",
     "CoordinatorConfig",
+    "FaultyTransport",
     "LocalTransport",
     "Message",
     "NodeConfig",

@@ -3,13 +3,14 @@
 :class:`Cluster` is the composition root — the piece that turns the
 plane's parts (:class:`~repro.cluster.ClusterNode`,
 :class:`~repro.cluster.ClusterCoordinator`,
-:class:`~repro.cluster.LocalTransport`) into a running system:
+:class:`~repro.cluster.FaultyTransport`) into a running system:
 
 * ``n_shards`` shard groups named ``shard-0 … shard-(n-1)``, each with a
   leader (``shard-i/n0``) and ``n_replicas`` followers (``shard-i/n1``,
   …), every node with its own data directory under ``root_dir``;
-* one shared :class:`~repro.cluster.LocalTransport` (exposed for fault
-  injection — partitions, drops, delays);
+* one shared transport — local or socket — wrapped in a
+  :class:`~repro.cluster.FaultyTransport` and exposed as ``transport``
+  for fault injection (partitions, drops, delays) and its counters;
 * one :class:`~repro.cluster.ClusterCoordinator` detecting failures and
   driving failover;
 * one :class:`~repro.runtime.ServiceGroup` so startup is ordered (nodes
@@ -40,7 +41,7 @@ from repro.cluster.coordinator import (
 )
 from repro.cluster.node import ClusterNode, NodeConfig, NodeRole
 from repro.cluster.socket_transport import SocketTransport
-from repro.cluster.transport import LocalTransport, Transport
+from repro.cluster.transport import FaultyTransport, LocalTransport, Transport
 
 
 def _build_transport(transport: str | Transport) -> Transport:
@@ -62,9 +63,11 @@ class Cluster:
     ``transport`` selects the message plane: ``"local"`` (the default —
     deterministic in-process calls) or ``"socket"`` (real TCP over
     :class:`~repro.cluster.SocketTransport`); an already-constructed
-    :class:`~repro.cluster.Transport` instance is also accepted. A
-    transport that is itself a runtime service joins the group *first*,
-    so it outlives every node it carries.
+    :class:`~repro.cluster.Transport` instance is also accepted. Either
+    way ``self.transport`` is that transport wrapped in a
+    :class:`~repro.cluster.FaultyTransport`. A transport that is itself
+    a runtime service joins the group *first*, so it outlives every node
+    it carries.
     """
 
     def __init__(
@@ -87,7 +90,8 @@ class Cluster:
         if n_replicas < 0:
             raise ValidationError(f"n_replicas must be >= 0 ({n_replicas=})")
         self.root_dir = Path(root_dir)
-        self.transport = _build_transport(transport)
+        built = _build_transport(transport)
+        self.transport = FaultyTransport(built)
         self.nodes: dict[str, ClusterNode] = {}
         shards: list[ShardSpec] = []
         for s in range(n_shards):
@@ -122,8 +126,8 @@ class Cluster:
             shards, self.transport, config=coordinator_config, clock=clock
         )
         self.group = ServiceGroup(name="cluster")
-        if isinstance(self.transport, Service):
-            self.group.add(self.transport)  # first up, last down
+        if isinstance(built, Service):
+            self.group.add(built)  # first up, last down
         for node in self.nodes.values():
             self.group.add(node)
         self.group.add(self.coordinator)  # last up, first down

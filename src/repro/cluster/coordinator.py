@@ -210,7 +210,11 @@ class ClusterCoordinator(Service):
             self._drop_follower(node_id)
 
     def _failover(self, shard_id: str) -> None:
-        """Promote the most-caught-up surviving follower to shard leader."""
+        """Promote the most-caught-up surviving follower to shard leader.
+
+        Counted at the decision, under the lock that bumps the route
+        version — never behind what the promoted node already shows.
+        """
         with self._lock:
             dead = self._leaders[shard_id]
             candidates = [
@@ -232,6 +236,7 @@ class ClusterCoordinator(Service):
             self._leaders[shard_id] = winner
             self._replicas[shard_id] = remaining
             self._route_version += 1
+            self.failovers.inc()
         try:
             self.transport.request(
                 COORDINATOR_ID,
@@ -243,10 +248,12 @@ class ClusterCoordinator(Service):
             # the winner died between heartbeat and promote; the next
             # poll round will detect it and fail over again
             pass
-        self.failovers.inc()
 
     def _drop_follower(self, node_id: str) -> None:
-        """Shrink a shard's replica set after a follower death."""
+        """Shrink a shard's replica set after a follower death.
+
+        Counted at the decision, like :meth:`_failover`.
+        """
         with self._lock:
             shard_id = self._views[node_id].shard_id
             remaining = tuple(
@@ -257,6 +264,7 @@ class ClusterCoordinator(Service):
             self._replicas[shard_id] = remaining
             leader = self._leaders[shard_id]
             self._route_version += 1
+            self.reconfigures.inc()
         try:
             self.transport.request(
                 COORDINATOR_ID,
@@ -266,7 +274,6 @@ class ClusterCoordinator(Service):
             )
         except (NodeUnreachableError, ClusterError):
             pass
-        self.reconfigures.inc()
 
     # -- introspection --------------------------------------------------------
 

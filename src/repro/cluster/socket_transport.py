@@ -2,15 +2,15 @@
 
 :class:`SocketTransport` implements the exact :class:`Transport`
 protocol that :class:`LocalTransport` does — ``register`` /
-``deregister`` / ``request`` / ``registered`` / ``reachable`` — but
-every request, including one whose destination handler lives in the
-same process, crosses a real TCP socket: length-prefixed JSON frames
+``deregister`` / ``request`` / ``registered`` — but every request,
+including one whose destination handler lives in the same process,
+crosses a real TCP socket: length-prefixed JSON frames
 (:func:`~repro.runtime.io.length_prefix`) into a
 :class:`~repro.runtime.io.IoLoop` listener, handler dispatch on a small
 worker pool, and the response frame back over the same connection.
 Leader→follower log shipping, gap catch-up, heartbeats and failover all
-run over the wire; ``LocalTransport`` remains the deterministic
-fault-injectable twin for tests that want no kernel in the loop.
+run over the wire; ``LocalTransport`` remains the deterministic twin
+for tests that want no kernel in the loop.
 
 Shape of the wire:
 
@@ -32,10 +32,11 @@ the loop thread — because they nest: a leader's ``put`` issues
 ``replicate`` requests through this same transport, and the loop must
 stay free to carry them.
 
-Fault surface parity: :meth:`partition`/:meth:`heal`/:meth:`set_fault`
-and the ``requests``/``unreachable``/``dropped`` counters behave as on
-:class:`LocalTransport` (enforced client-side, before any bytes move),
-so the replication/failover suites parameterize over both transports
+Faults are not this class's business: it only delivers. Partitions,
+injected drops/delays and the ``requests``/``unreachable``/``dropped``
+counters live in :class:`~repro.cluster.FaultyTransport`, which wraps
+either transport and decides a fault before any bytes move — so the
+replication/failover suites parameterize over both transports
 unchanged.
 
 Multi-process reach: a transport only *serves* the node ids registered
@@ -54,13 +55,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import repro.errors as errors
-from repro.errors import (
-    ClusterError,
-    NodeUnreachableError,
-    TransientStoreError,
-    ValidationError,
-)
-from repro.runtime import Counter, FaultInjector, FaultPolicy, MetricsRegistry
+from repro.errors import ClusterError, NodeUnreachableError, ValidationError
+from repro.runtime import MetricsRegistry
 from repro.runtime.io import Connection, FrameBuffer, IoLoop, length_prefix
 from repro.runtime.lifecycle import Service, ServiceState
 
@@ -137,14 +133,9 @@ class SocketTransport(Service):
         self._lock = threading.Lock()
         self._handlers: dict[str, Handler] = {}
         self._routes: dict[str, tuple[str, int]] = {}
-        self._partitions: set[frozenset[str]] = set()
-        self._injectors: dict[tuple[str | None, str | None], FaultInjector] = {}
         self._tls = threading.local()
         self._client_socks: set[socket.socket] = set()
         self._client_lock = threading.Lock()
-        self.requests = Counter()
-        self.unreachable = Counter()
-        self.dropped = Counter()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -208,48 +199,6 @@ class SocketTransport(Service):
         with self._lock:
             self._routes[node_id] = (address[0], int(address[1]))
 
-    # -- fault surface (LocalTransport parity) ---------------------------------
-
-    def partition(self, a: str, b: str) -> None:
-        with self._lock:
-            self._partitions.add(frozenset((a, b)))
-
-    def heal(self, a: str, b: str) -> None:
-        with self._lock:
-            self._partitions.discard(frozenset((a, b)))
-
-    def heal_all(self) -> None:
-        with self._lock:
-            self._partitions.clear()
-
-    def set_fault(
-        self,
-        policy: FaultPolicy,
-        src: str | None = None,
-        dst: str | None = None,
-    ) -> FaultInjector:
-        injector = FaultInjector(policy)
-        with self._lock:
-            self._injectors[(src, dst)] = injector
-        return injector
-
-    def clear_faults(self) -> None:
-        with self._lock:
-            self._injectors.clear()
-
-    def _injector_for(self, src: str, dst: str) -> FaultInjector | None:
-        for key in ((src, dst), (None, dst), (src, None), (None, None)):
-            injector = self._injectors.get(key)
-            if injector is not None:
-                return injector
-        return None
-
-    def reachable(self, src: str, dst: str) -> bool:
-        with self._lock:
-            if frozenset((src, dst)) in self._partitions:
-                return False
-            return dst in self._handlers or dst in self._routes
-
     # -- the request path (client side) ----------------------------------------
 
     def request(
@@ -262,34 +211,16 @@ class SocketTransport(Service):
     ) -> dict:
         """One request over the wire; LocalTransport failure semantics.
 
-        Partitions and injected drops fail *before* any bytes move (the
-        deterministic half of the fault surface); everything else is the
-        socket itself — refused/reset/timed-out connections all surface
-        as :class:`~repro.errors.NodeUnreachableError`.
+        Refused/reset/timed-out connections, and a destination no
+        listener serves, all surface as
+        :class:`~repro.errors.NodeUnreachableError`.
         """
         self._ensure_started()
-        self.requests.inc()
         with self._lock:
-            if frozenset((src, dst)) in self._partitions:
-                self.unreachable.inc()
-                raise NodeUnreachableError(f"{src} -> {dst}: link is partitioned")
             local = dst in self._handlers
             route = self._routes.get(dst)
-            injector = self._injector_for(src, dst)
         if not local and route is None:
-            self.unreachable.inc()
             raise NodeUnreachableError(f"{src} -> {dst}: no such node")
-        if injector is not None:
-            try:
-                injector.inject()
-            except NodeUnreachableError:
-                self.dropped.inc()
-                raise
-            except TransientStoreError as exc:
-                self.dropped.inc()
-                raise NodeUnreachableError(
-                    f"{src} -> {dst}: injected drop ({exc})"
-                ) from exc
         if route is None:
             assert self.port is not None
             route = (self.host, self.port)
@@ -309,7 +240,6 @@ class SocketTransport(Service):
             response = decode_wire_value(reply.get("response", {}))
             return response if isinstance(response, dict) else {}
         if status == "unreachable":
-            self.unreachable.inc()
             raise NodeUnreachableError(str(reply.get("message", dst)))
         if status == "error":
             raise _exception_for(
@@ -343,11 +273,9 @@ class SocketTransport(Service):
                     return json.loads(frames[0].decode("utf-8"))
         except NodeUnreachableError:
             self._drop_client_sock(address)
-            self.unreachable.inc()
             raise
         except (OSError, ValueError, ValidationError) as exc:
             self._drop_client_sock(address)
-            self.unreachable.inc()
             raise NodeUnreachableError(f"{src} -> {dst}: {exc}") from exc
 
     def _client_sock(
@@ -367,7 +295,6 @@ class SocketTransport(Service):
                 address, timeout=max(timeout_s, 0.001)
             )
         except OSError as exc:
-            self.unreachable.inc()
             raise NodeUnreachableError(
                 f"cannot reach transport at {address}: {exc}"
             ) from exc
@@ -457,13 +384,4 @@ class SocketTransport(Service):
     # -- introspection ---------------------------------------------------------
 
     def snapshot(self) -> dict[str, object]:
-        with self._lock:
-            partitions = sorted(tuple(sorted(p)) for p in self._partitions)
-        return {
-            "nodes": self.registered(),
-            "requests": self.requests.value,
-            "unreachable": self.unreachable.value,
-            "dropped": self.dropped.value,
-            "partitions": partitions,
-            "address": (self.host, self.port),
-        }
+        return {"address": (self.host, self.port)}

@@ -21,7 +21,8 @@ server's own error envelope — not by guessing from HTTP status codes:
 Every attempt shares one request deadline: it is sent to the server as
 ``X-Deadline-Ms`` (recomputed per attempt from the *remaining* budget,
 so a retry never asks the server for time the client no longer has) and
-locally bounds the socket timeout. Connections are per-thread
+locally bounds the socket timeout, plus a short grace for the reply to
+travel back. Connections are per-thread
 (``http.client`` is not thread-safe), so one client instance can be
 shared by a multi-threaded loadgen.
 """
@@ -47,6 +48,10 @@ from repro.net.protocol import (
     parse_json_body,
 )
 from repro.runtime import Deadline, RetryPolicy
+
+#: The socket waits this long past the deadline sent in ``X-Deadline-Ms``,
+#: so a reply the server degrades *at* the deadline still arrives.
+_DEADLINE_GRACE_S = 0.25
 
 
 @dataclass(frozen=True)
@@ -180,7 +185,8 @@ class FeatureClient:
                 self.attempts += 1
             try:
                 status, raw = self._send(
-                    method, path, body, self._headers(remaining), remaining
+                    method, path, body, self._headers(remaining),
+                    remaining + _DEADLINE_GRACE_S,
                 )
             except (ConnectionError, socket.timeout, TimeoutError, OSError) as exc:
                 last_exc = exc

@@ -4,7 +4,8 @@ The replication suites run twice: once over :class:`LocalTransport`
 (deterministic in-process calls) and once over
 :class:`SocketTransport` (real TCP frames on the selector substrate).
 Same tests, same assertions — the transports are behavioral twins, and
-parameterizing here is what enforces it.
+parameterizing here is what enforces it. Either one is wrapped in a
+:class:`FaultyTransport`, the fault surface the tests cut links with.
 """
 
 from pathlib import Path
@@ -13,26 +14,28 @@ import pytest
 
 from repro.cluster import (
     ClusterNode,
+    FaultyTransport,
     LocalTransport,
     NodeConfig,
     NodeRole,
     SocketTransport,
-    Transport,
 )
 from repro.runtime import Service
 
 TRANSPORT_KINDS = ("local", "socket")
 
 
-def build_transport(kind: str) -> Transport:
+def build_transport(kind: str) -> FaultyTransport:
+    """The fault surface over the named delivery (what ``Cluster`` builds)."""
     if kind == "socket":
-        return SocketTransport(name="test-transport")
-    return LocalTransport()
+        return FaultyTransport(SocketTransport(name="test-transport"))
+    return FaultyTransport(LocalTransport())
 
 
-def stop_transport(transport: Transport) -> None:
-    if isinstance(transport, Service) and transport.running:
-        transport.stop()
+def stop_transport(transport: FaultyTransport) -> None:
+    inner = transport.inner
+    if isinstance(inner, Service) and inner.running:
+        inner.stop()
 
 
 def segment_files(log_dir: Path) -> dict[str, bytes]:

@@ -17,11 +17,16 @@ threads when stopped.
 import threading
 import time
 
-from repro.cluster import Cluster, CoordinatorConfig
+from repro.cluster import (
+    Cluster,
+    ClusterCoordinator,
+    CoordinatorConfig,
+    ShardSpec,
+)
 from repro.datagen.workloads import ZipfianWorkloadConfig, generate_zipfian_keys
 from repro.runtime import await_condition
 
-from tests.cluster.conftest import assert_logs_identical
+from tests.cluster.conftest import assert_logs_identical, build_transport
 
 
 def _read_log_sequences(node) -> dict[int, tuple[int, float]]:
@@ -225,3 +230,43 @@ class TestFailover:
             ack = client.put(999, 9.0)
             assert ack["acks"] == 0
             assert cluster.coordinator.leader_of("shard-0") == leader_id
+
+
+class TestCoordinatorCounters:
+    """Counters move at the decision, before the node hears about it —
+    so a test that sees the node's new state always sees the count."""
+
+    def _coordinator(self, alive: str, notice: str, counter):
+        transport = build_transport("local")
+        seen: list[int] = []
+
+        def node(message):
+            if message.kind == notice:
+                seen.append(counter(coordinator).value)
+            return {"healthy": True, "end_offsets": [0]}
+
+        transport.register(alive, node)
+        coordinator = ClusterCoordinator(
+            [ShardSpec("s0", "L", ("F",))],
+            transport,
+            config=CoordinatorConfig(
+                heartbeat_interval_s=0.005, failure_threshold=2
+            ),
+        )
+        return coordinator, seen
+
+    def test_reconfigure_is_counted_before_the_leader_hears_it(self):
+        coordinator, seen = self._coordinator(
+            "L", "reconfigure", lambda c: c.reconfigures
+        )
+        with coordinator:
+            assert await_condition(lambda: seen, timeout_s=5.0)
+        assert seen[0] == 1
+
+    def test_failover_is_counted_before_the_winner_hears_it(self):
+        coordinator, seen = self._coordinator(
+            "F", "promote", lambda c: c.failovers
+        )
+        with coordinator:
+            assert await_condition(lambda: seen, timeout_s=5.0)
+        assert seen[0] == 1

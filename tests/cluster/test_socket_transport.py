@@ -1,65 +1,28 @@
-"""SocketTransport: the LocalTransport contract over real TCP.
+"""SocketTransport: the FaultyTransport contract over real TCP.
 
-Mirrors ``test_transport.py`` assertion for assertion — the socket
-plane must be indistinguishable from the in-process one at the
-:class:`Transport` protocol level — then adds what only a real wire
-can test: bytes surviving the JSON framing, exception classes
-reconstructed across the boundary, and clean teardown.
+Runs :class:`~tests.cluster.test_transport.FaultSurfaceSuite` over the
+socket delivery, then adds what only a real wire can test: bytes
+surviving the JSON framing, exception classes reconstructed across the
+boundary, concurrent callers, and clean teardown.
 """
 
 import threading
 
 import pytest
 
-from repro.cluster import Message, SocketTransport
-from repro.errors import NodeUnreachableError, WrongOwnerError
-from repro.runtime import FaultPolicy
+from repro.cluster import Cluster, FaultyTransport, Message, SocketTransport
+from repro.errors import WrongOwnerError
+from repro.runtime import await_condition
+
+from tests.cluster.test_transport import FaultSurfaceSuite
 
 
 def _echo(message: Message) -> dict:
     return {"kind": message.kind, "src": message.src, **message.payload}
 
 
-@pytest.fixture
-def transport():
-    transport = SocketTransport(name="unit-transport")
-    yield transport
-    if transport.running:
-        transport.stop()
-
-
-class TestSocketTransport:
-    def test_request_reaches_handler_and_returns_response(self, transport):
-        transport.register("a", _echo)
-        response = transport.request("b", "a", "ping", {"x": 1})
-        assert response == {"kind": "ping", "src": "b", "x": 1}
-        assert transport.requests.value == 1
-
-    def test_unregistered_destination_is_unreachable(self, transport):
-        transport.register("a", _echo)  # start the loop
-        with pytest.raises(NodeUnreachableError):
-            transport.request("a", "ghost", "ping")
-        assert transport.unreachable.value == 1
-
-    def test_deregister_makes_node_disappear(self, transport):
-        transport.register("a", _echo)
-        assert transport.reachable("b", "a")
-        transport.deregister("a")
-        assert not transport.reachable("b", "a")
-        with pytest.raises(NodeUnreachableError):
-            transport.request("b", "a", "ping")
-
-    def test_partition_is_symmetric_and_healable(self, transport):
-        transport.register("a", _echo)
-        transport.register("b", _echo)
-        transport.partition("a", "b")
-        for src, dst in (("a", "b"), ("b", "a")):
-            with pytest.raises(NodeUnreachableError):
-                transport.request(src, dst, "ping")
-        # third parties are unaffected
-        assert transport.request("c", "a", "ping")["src"] == "c"
-        transport.heal("a", "b")
-        assert transport.request("a", "b", "ping")["src"] == "a"
+class TestSocketTransport(FaultSurfaceSuite):
+    kind = "socket"
 
     def test_handler_exceptions_cross_the_wire_typed(self, transport):
         def boom(message: Message) -> dict:
@@ -76,23 +39,6 @@ class TestSocketTransport:
         transport.register("a", boom)
         with pytest.raises(RuntimeError, match="handler exploded"):
             transport.request("b", "a", "ping")
-
-    def test_injected_errors_surface_as_unreachable(self, transport):
-        transport.register("a", _echo)
-        transport.set_fault(FaultPolicy(error_rate=1.0, seed=1), dst="a")
-        with pytest.raises(NodeUnreachableError):
-            transport.request("b", "a", "ping")
-        assert transport.dropped.value == 1
-
-    def test_fault_specificity_exact_link_wins_over_wildcard(self, transport):
-        transport.register("a", _echo)
-        transport.set_fault(FaultPolicy(error_rate=1.0, seed=1))
-        transport.set_fault(FaultPolicy(), src="b", dst="a")
-        assert transport.request("b", "a", "ping")["src"] == "b"
-        with pytest.raises(NodeUnreachableError):
-            transport.request("c", "a", "ping")
-        transport.clear_faults()
-        assert transport.request("c", "a", "ping")["src"] == "c"
 
     def test_bytes_payloads_survive_the_json_framing(self, transport):
         """Replication frames are raw bytes: the __b64__ tagging must
@@ -132,13 +78,9 @@ class TestSocketTransport:
         assert transport.requests.value == 160
 
     def test_snapshot_reports_state(self, transport):
-        transport.register("a", _echo)
-        transport.register("b", _echo)
-        transport.partition("a", "b")
-        snap = transport.snapshot()
-        assert snap["nodes"] == ["a", "b"]
-        assert snap["partitions"] == [("a", "b")]
-        assert snap["address"][0] == "127.0.0.1"
+        super().test_snapshot_reports_state(transport)
+        # the inner transport's own fields ride along
+        assert transport.snapshot()["address"][0] == "127.0.0.1"
 
     def test_stop_leaks_no_threads(self):
         baseline = threading.active_count()
@@ -147,8 +89,21 @@ class TestSocketTransport:
         for __ in range(10):
             transport.request("b", "a", "ping")
         transport.stop()
-        from repro.runtime import await_condition
-
         assert await_condition(
             lambda: threading.active_count() <= baseline, timeout_s=5.0
         ), f"leaked threads: {threading.enumerate()}"
+
+
+def test_cluster_wraps_and_owns_its_socket_transport(tmp_path):
+    baseline = threading.active_count()
+    cluster = Cluster(tmp_path, n_shards=1, transport="socket").start()
+    try:
+        assert isinstance(cluster.transport, FaultyTransport)
+        assert isinstance(cluster.transport.inner, SocketTransport)
+        assert "address" in cluster.snapshot()["transport"]
+    finally:
+        cluster.stop()
+    assert not cluster.transport.inner.running
+    assert await_condition(
+        lambda: threading.active_count() <= baseline, timeout_s=5.0
+    ), f"leaked threads: {threading.enumerate()}"

@@ -15,7 +15,9 @@ cadence". This module is that substrate at laptop scale:
   recovery-scan time and the unit of retention.
 * **Framing** — every record is ``[u32 length][u32 crc32][payload]``
   (little-endian); the CRC covers the payload, so a torn write is
-  detectable at the exact record boundary.
+  detectable at the exact record boundary. A record is encoded once;
+  appends, reads and replication then move those bytes unchanged, and
+  one walker (:func:`_frame_ends`) decides what a valid frame is.
 * **Fsync policy** — durability is a knob, as in every real log:
   ``PER_RECORD`` fsyncs on each append, ``GROUP`` commits every N records
   or T seconds (whichever first), ``NONE`` leaves flushing to the OS.
@@ -41,6 +43,7 @@ import time
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 from repro.errors import BusError, CorruptRecordError, ValidationError
@@ -137,53 +140,38 @@ def decode_frame(frame: bytes) -> BusRecord:
     The cluster plane's log shipping moves whole frames between nodes;
     the follower calls this before appending, so a frame damaged in
     flight is rejected *before* it can enter the replica log. Raises
-    :class:`~repro.errors.CorruptRecordError` on a short frame, an
-    implausible length, trailing garbage, or a CRC mismatch.
+    :class:`~repro.errors.CorruptRecordError` unless ``frame`` is exactly
+    one valid frame (short, oversized, trailing garbage, bad CRC all fail).
     """
-    if len(frame) < _FRAME.size:
+    if _frame_ends(frame, 1) != [len(frame)]:
         raise CorruptRecordError(
-            f"frame shorter than its header ({len(frame)} bytes)"
+            f"not one valid [len][crc][payload] frame ({len(frame)} bytes)"
         )
-    length, crc = _FRAME.unpack_from(frame)
-    if length <= 0 or length > _MAX_PAYLOAD:
-        raise CorruptRecordError(f"implausible frame payload length {length}")
-    if len(frame) != _FRAME.size + length:
-        raise CorruptRecordError(
-            f"frame length mismatch: header says {length}, "
-            f"got {len(frame) - _FRAME.size} payload bytes"
-        )
-    payload = frame[_FRAME.size :]
-    if zlib.crc32(payload) != crc:
-        raise CorruptRecordError("frame CRC mismatch")
-    return decode_payload(payload)
+    return decode_payload(frame[_FRAME.size :])
 
 
-def record_size(record: BusRecord) -> int:
-    """On-disk bytes of one framed record (used for backpressure accounting)."""
-    return len(encode_record(record))
+def _frame_ends(data: bytes, max_frames: int | None = None) -> list[int]:
+    """End position of each frame in the longest valid prefix of ``data``.
 
-
-def _scan_frames(data: bytes, max_records: int | None = None) -> tuple[int, int]:
-    """Return ``(n_valid_records, valid_byte_length)`` of a segment image.
-
-    Stops at the first frame that is short, oversized, or fails its CRC —
-    the definition of a torn/corrupt suffix.
+    The one definition of a valid frame (recovery, reads, appends and
+    :func:`decode_frame` all walk here): a payload length in
+    ``(0, _MAX_PAYLOAD]`` that fits in ``data`` and a matching CRC. Stops
+    at the first torn/corrupt frame or after ``max_frames`` frames.
     """
-    pos = 0
-    count = 0
+    ends: list[int] = []
     size = len(data)
-    while max_records is None or count < max_records:
-        if pos + _FRAME.size > size:
-            break
+    limit = size if max_frames is None else max_frames
+    pos = 0
+    while len(ends) < limit and pos + _FRAME.size <= size:
         length, crc = _FRAME.unpack_from(data, pos)
-        if length <= 0 or length > _MAX_PAYLOAD or pos + _FRAME.size + length > size:
+        end = pos + _FRAME.size + length
+        if not 0 < length <= _MAX_PAYLOAD or end > size:
             break
-        payload = data[pos + _FRAME.size : pos + _FRAME.size + length]
-        if zlib.crc32(payload) != crc:
+        if zlib.crc32(data[pos + _FRAME.size : end]) != crc:
             break
-        pos += _FRAME.size + length
-        count += 1
-    return count, pos
+        ends.append(end)
+        pos = end
+    return ends
 
 
 class _PartitionLog:
@@ -225,7 +213,8 @@ class _PartitionLog:
         tail_base = bases[-1]
         path = self._segment_path(tail_base)
         data = path.read_bytes()
-        count, valid = _scan_frames(data)
+        ends = _frame_ends(data)
+        count, valid = len(ends), (ends[-1] if ends else 0)
         if valid < len(data):
             # A crash tore the final write(s): truncate to the last frame
             # whose CRC survives. Nothing past `valid` was ever durable.
@@ -254,17 +243,26 @@ class _PartitionLog:
         with self._lock:
             return self._tail_base + self._tail_records
 
-    def append_many(self, records: list[BusRecord]) -> list[int]:
-        """Append records in order; return their assigned offsets."""
-        if not records:
+    def append_many(self, frames: list[bytes]) -> list[int]:
+        """Append encoded frames verbatim, in order; return their offsets.
+
+        The batch is all-or-nothing: unless every element is exactly one
+        frame that passes :func:`_frame_ends`, nothing is written and
+        :class:`~repro.errors.CorruptRecordError` is raised.
+        """
+        if not frames:
             return []
+        if _frame_ends(b"".join(frames)) != list(accumulate(map(len, frames))):
+            raise CorruptRecordError(
+                f"append to {self.directory} rejected: a frame in the batch "
+                "fails its length/CRC check"
+            )
         offsets: list[int] = []
         with self._lock:
             if self._tail is None:
                 raise BusError(f"partition log {self.directory} is closed")
             per_record = self.fsync.policy is FsyncPolicy.PER_RECORD
-            for record in records:
-                frame = encode_record(record)
+            for frame in frames:
                 if (
                     self._tail_bytes
                     and self._tail_bytes + len(frame) > self.segment_bytes
@@ -319,11 +317,14 @@ class _PartitionLog:
 
     # -- read path -----------------------------------------------------------
 
-    def read(self, start_offset: int, max_records: int) -> list[tuple[int, BusRecord]]:
-        """Records ``[start_offset, ...)``, at most ``max_records`` of them.
+    def read_frames(
+        self, start_offset: int, max_records: int
+    ) -> list[tuple[int, bytes]]:
+        """Frames ``[start_offset, ...)``, at most ``max_records`` of them.
 
-        Returns ``(offset, record)`` pairs in offset order. Reading past the
-        end returns an empty list (the consumer's "caught up" signal).
+        Returns ``(offset, frame)`` pairs in offset order, each frame the
+        exact bytes on disk. Reading past the end returns an empty list
+        (the consumer's "caught up" signal).
         """
         if start_offset < 0:
             raise ValidationError(f"offset must be >= 0 ({start_offset=})")
@@ -336,32 +337,19 @@ class _PartitionLog:
             end = self._tail_base + self._tail_records
         if start_offset >= end:
             return []
-        out: list[tuple[int, BusRecord]] = []
+        out: list[tuple[int, bytes]] = []
         index = max(0, bisect_right(bases, start_offset) - 1)
         for base in bases[index:]:
             if len(out) >= max_records:
                 break
             data = self._segment_path(base).read_bytes()
-            pos = 0
-            offset = base
-            size = len(data)
-            while len(out) < max_records and offset < end:
-                if pos + _FRAME.size > size:
-                    break
-                length, crc = _FRAME.unpack_from(data, pos)
-                if (
-                    length <= 0
-                    or length > _MAX_PAYLOAD
-                    or pos + _FRAME.size + length > size
-                ):
-                    break
-                payload = data[pos + _FRAME.size : pos + _FRAME.size + length]
-                if zlib.crc32(payload) != crc:
-                    break
-                if offset >= start_offset:
-                    out.append((offset, decode_payload(payload)))
-                pos += _FRAME.size + length
-                offset += 1
+            skip = max(start_offset - base, 0)
+            ends = _frame_ends(data, min(skip + max_records - len(out), end - base))
+            bounds = [0, *ends]
+            out.extend(
+                (base + i, data[bounds[i] : bounds[i + 1]])
+                for i in range(skip, len(ends))
+            )
         return out
 
 
@@ -442,16 +430,27 @@ class SegmentLog:
     # -- append / read -------------------------------------------------------
 
     def append(self, partition: int, record: BusRecord) -> int:
-        """Append one record; return its offset."""
-        return self._partition(partition).append_many([record])[0]
+        """Encode and append one record; return its offset."""
+        return self._partition(partition).append_many([encode_record(record)])[0]
 
-    def append_many(self, partition: int, records: list[BusRecord]) -> list[int]:
-        return self._partition(partition).append_many(records)
+    def append_many(self, partition: int, frames: list[bytes]) -> list[int]:
+        """Append encoded frames verbatim (all-or-nothing); return offsets."""
+        return self._partition(partition).append_many(frames)
+
+    def read_frames(
+        self, partition: int, start_offset: int, max_records: int = 512
+    ) -> list[tuple[int, bytes]]:
+        """``(offset, frame)`` pairs from ``start_offset``, bytes as on disk."""
+        return self._partition(partition).read_frames(start_offset, max_records)
 
     def read(
         self, partition: int, start_offset: int, max_records: int = 512
     ) -> list[tuple[int, BusRecord]]:
-        return self._partition(partition).read(start_offset, max_records)
+        """``(offset, record)`` pairs: :meth:`read_frames`, decoded."""
+        frames = self.read_frames(partition, start_offset, max_records)
+        return [
+            (offset, decode_payload(frame[_FRAME.size :])) for offset, frame in frames
+        ]
 
     def end_offset(self, partition: int) -> int:
         return self._partition(partition).end_offset

@@ -4,7 +4,8 @@ The write edge of the ingestion bus. A producer buffers records per
 partition (the partition is a stable hash of ``entity_id``, so one
 entity's events always land on one partition in production order) and
 flushes a partition's buffer as one ``append_many`` batch — the log-level
-analogue of the serving gateway's micro-batching.
+analogue of the serving gateway's micro-batching. :meth:`Producer.send`
+encodes each record once; buffers hold those frames verbatim.
 
 Backpressure is a *byte* bound, not a record bound: ``max_inflight_bytes``
 caps encoded-but-unflushed bytes across all partition buffers. On
@@ -16,10 +17,10 @@ flush latency — the classic producer stall), policy ``RAISE`` raises
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.bus.log import BusRecord, SegmentLog, record_size
+from repro.bus.log import BusRecord, SegmentLog, encode_record
 from repro.datagen.streams import StreamEvent
 from repro.errors import Backpressure, ValidationError
 
@@ -72,7 +73,7 @@ class Producer:
         self.max_inflight_bytes = max_inflight_bytes
         self.overflow = overflow
         self.metrics = metrics
-        self._buffers: list[list[BusRecord]] = [[] for _ in range(log.n_partitions)]
+        self._buffers: list[list[bytes]] = [[] for _ in range(log.n_partitions)]
         self._buffered_bytes = 0
         self._sequence = 0
         self._records_sent = 0
@@ -92,13 +93,7 @@ class Producer:
                 sequence=self._sequence,
             )
         elif isinstance(event, BusRecord):
-            record = BusRecord(
-                entity_id=event.entity_id,
-                timestamp=event.timestamp,
-                value=event.value,
-                attributes=event.attributes,
-                sequence=self._sequence,
-            )
+            record = replace(event, sequence=self._sequence)
         else:
             raise ValidationError(
                 f"send() takes BusRecord or StreamEvent, got {type(event).__name__}"
@@ -114,7 +109,8 @@ class Producer:
         byte bound would be exceeded.
         """
         record = self._coerce(event)
-        size = record_size(record)
+        frame = encode_record(record)
+        size = len(frame)
         if self._buffered_bytes + size > self.max_inflight_bytes:
             self._backpressure_hits += 1
             if self.metrics is not None:
@@ -127,7 +123,7 @@ class Producer:
                 )
             self.flush()
         partition = self.log.partition_for(record.entity_id)
-        self._buffers[partition].append(record)
+        self._buffers[partition].append(frame)
         self._buffered_bytes += size
         self._records_sent += 1
         if len(self._buffers[partition]) >= self.batch_records:
@@ -148,7 +144,7 @@ class Producer:
         buffer = self._buffers[partition]
         if not buffer:
             return
-        batch_bytes = sum(record_size(r) for r in buffer)
+        batch_bytes = sum(map(len, buffer))
         self.log.append_many(partition, buffer)
         self._buffers[partition] = []
         self._buffered_bytes -= batch_bytes

@@ -18,15 +18,15 @@ shard group:
   cache/micro-batch read path for read-heavy deployments.
 
 Roles and replication: within a shard group one node is the **leader**
-— it accepts writes, appends them to its log, and synchronously *ships*
-the encoded frame to every follower before acknowledging (at least
-``min_replica_acks`` follower acks, else the write fails retryably).
-Followers CRC-check each shipped frame (:func:`repro.bus.decode_frame`)
-and append it to their own log at the same offset, so a follower's log
-is byte-identical to the leader's — the no-lost-acked-writes proof the
-failover tests assert. A follower that missed ships (restart, partition)
-is caught up by the leader's background **reconcile** loop, which ships
-from the follower's durable end offset — never from zero.
+— it encodes each write once, appends that frame to its log and
+synchronously *ships the same bytes* to every follower before acking
+(at least ``min_replica_acks`` follower acks, else the write fails
+retryably). Followers CRC-check each frame (:func:`repro.bus.decode_frame`)
+and append the received bytes verbatim, so a follower's log is
+byte-identical to the leader's by construction. A follower that missed
+ships (restart, partition) is caught up by the leader's **reconcile**
+loop, which ships ``read_frames`` output from the follower's durable end
+offset — never from zero.
 
 The node is driven entirely through its transport handler (``put`` /
 ``get`` / ``replicate`` / ``heartbeat`` / ``promote`` / ``reconfigure``
@@ -268,7 +268,7 @@ class ClusterNode(Service):
         frame = encode_record(record)
         with self._append_lock:
             partition = self.log.partition_for(record.entity_id)
-            offset = self.log.append(partition, record)
+            (offset,) = self.log.append_many(partition, [frame])
             self._last_event_time = max(self._last_event_time, record.timestamp)
             acks = self._ship(followers, partition, offset, [frame])
         required = min(self.config.min_replica_acks, len(followers))
@@ -341,7 +341,7 @@ class ClusterNode(Service):
         """
         position = max(start, 0)
         for __ in range(1024):  # hard bound against pathological loops
-            batch = self.log.read(
+            batch = self.log.read_frames(
                 partition, position, self.config.ship_batch_records
             )
             if not batch:
@@ -353,7 +353,7 @@ class ClusterNode(Service):
                 {
                     "partition": partition,
                     "base_offset": batch[0][0],
-                    "frames": [encode_record(r) for __, r in batch],
+                    "frames": [frame for __, frame in batch],
                 },
             )
             end = int(response["end_offset"])
@@ -418,13 +418,11 @@ class ClusterNode(Service):
                 self.duplicate_frames.inc(min(skip, len(frames)))
             fresh = frames[skip:]
             if fresh:
-                records = [decode_frame(frame) for frame in fresh]
-                self.log.append_many(partition, records)
-                self._last_event_time = max(
-                    self._last_event_time,
-                    max(r.timestamp for r in records),
-                )
-                self.frames_applied.inc(len(records))
+                # CRC-gate every frame, then append the leader's bytes
+                latest = max(decode_frame(frame).timestamp for frame in fresh)
+                self.log.append_many(partition, fresh)
+                self._last_event_time = max(self._last_event_time, latest)
+                self.frames_applied.inc(len(fresh))
         return {
             "status": "ok",
             "end_offset": self.log.end_offset(partition),

@@ -34,6 +34,7 @@ from repro.codec.codecs import (
     VectorCodec,
     codec_from_state,
     codec_to_state,
+    kmeans,
     make_codec,
 )
 
@@ -50,5 +51,6 @@ __all__ = [
     "adc_topk_batch",
     "codec_from_state",
     "codec_to_state",
+    "kmeans",
     "make_codec",
 ]

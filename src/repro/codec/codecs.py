@@ -379,13 +379,16 @@ class Int8Codec(VectorCodec):
         self._offset = np.asarray(payload["offset"], dtype=np.float64)
 
 
-def _kmeans(
+def kmeans(
     vectors: np.ndarray, n_codes: int, n_iterations: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Seeded k-means++ + Lloyd; returns the ``(n_codes, d)`` codebook.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded k-means++ + Lloyd; returns ``(centroids, assignments)``.
 
-    Deterministic for a given generator state — train-determinism of the
-    PQ codec reduces to this function.
+    ``centroids`` is the ``(min(n_codes, n), d)`` codebook and
+    ``assignments`` the final row → centroid index. Deterministic for a
+    given generator state — train-determinism of the PQ codec and of
+    :func:`repro.embeddings.kmeans_codebook_compress` reduces to this
+    function.
     """
     n = len(vectors)
     n_codes = min(n_codes, n)
@@ -415,7 +418,7 @@ def _kmeans(
             members = vectors[assignments == c]
             if len(members):
                 centroids[c] = members.mean(axis=0)
-    return centroids
+    return centroids, assignments
 
 
 class PQCodec(VectorCodec):
@@ -465,9 +468,8 @@ class PQCodec(VectorCodec):
         for sub in range(self.n_subspaces):
             rng = np.random.default_rng(self.seed + sub)
             block = vectors[:, sub * sub_dim : (sub + 1) * sub_dim]
-            codebooks[sub] = _kmeans(
-                block, n_codes, self.n_iterations, rng
-            ).astype(np.float32)
+            centroids, __ = kmeans(block, n_codes, self.n_iterations, rng)
+            codebooks[sub] = centroids.astype(np.float32)
         self._codebooks = codebooks
 
     def _encode(self, vectors: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.codec import kmeans
 from repro.embeddings.base import EmbeddingMatrix
 from repro.errors import ValidationError
 
@@ -142,9 +143,10 @@ def kmeans_codebook_compress(
 ) -> CompressionResult:
     """Vector quantization: k-means over rows, store one code per row.
 
-    Rows are replaced by their nearest of ``n_codes`` centroids (Lloyd's
-    algorithm with k-means++ style seeding). Storage is the codebook plus
-    one integer code per row.
+    Rows are replaced by their nearest of ``n_codes`` centroids
+    (:func:`repro.codec.kmeans`, the seeded k-means++ + Lloyd routine that
+    also trains the PQ codec). Storage is the codebook plus one integer
+    code per row.
     """
     if n_codes < 1:
         raise ValidationError(f"n_codes must be positive ({n_codes=})")
@@ -152,39 +154,10 @@ def kmeans_codebook_compress(
         raise ValidationError(f"n_iterations must be positive ({n_iterations=})")
     vectors = embedding.vectors
     n = len(vectors)
-    n_codes = min(n_codes, n)
-    rng = np.random.default_rng(seed)
-
-    # k-means++ seeding.
-    centroids = np.empty((n_codes, vectors.shape[1]))
-    centroids[0] = vectors[rng.integers(0, n)]
-    closest = np.full(n, np.inf)
-    for c in range(1, n_codes):
-        dist = np.sum((vectors - centroids[c - 1]) ** 2, axis=1)
-        closest = np.minimum(closest, dist)
-        total = closest.sum()
-        if total == 0:
-            centroids[c:] = vectors[rng.integers(0, n, size=n_codes - c)]
-            break
-        centroids[c] = vectors[rng.choice(n, p=closest / total)]
-
-    assignments = np.zeros(n, dtype=np.int64)
-    for __ in range(n_iterations):
-        # Squared distances via the expansion trick; (n, n_codes).
-        distances = (
-            np.sum(vectors**2, axis=1, keepdims=True)
-            - 2.0 * vectors @ centroids.T
-            + np.sum(centroids**2, axis=1)
-        )
-        new_assignments = distances.argmin(axis=1)
-        if np.array_equal(new_assignments, assignments):
-            break
-        assignments = new_assignments
-        for c in range(n_codes):
-            members = vectors[assignments == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-
+    centroids, assignments = kmeans(
+        vectors, n_codes, n_iterations, np.random.default_rng(seed)
+    )
+    n_codes = len(centroids)
     reconstructed = centroids[assignments]
     code_bits = max(1, int(np.ceil(np.log2(max(2, n_codes)))))
     compressed_bytes = centroids.nbytes + int(np.ceil(n * code_bits / 8))

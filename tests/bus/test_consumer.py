@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.bus.consumer import CheckpointStore, Consumer
-from repro.bus.log import BusRecord, SegmentLog
+from repro.bus.log import BusRecord, SegmentLog, encode_record
 from repro.bus.metrics import BusMetrics
 from repro.errors import ValidationError
 
@@ -17,8 +17,8 @@ def rec(i):
 @pytest.fixture
 def log(tmp_path):
     with SegmentLog(tmp_path / "log", n_partitions=2) as segment_log:
-        segment_log.append_many(0, [rec(i) for i in range(10)])
-        segment_log.append_many(1, [rec(i) for i in range(5)])
+        segment_log.append_many(0, [encode_record(rec(i)) for i in range(10)])
+        segment_log.append_many(1, [encode_record(rec(i)) for i in range(5)])
         yield segment_log
 
 

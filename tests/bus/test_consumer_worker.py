@@ -17,6 +17,7 @@ from repro.bus import (
     ConsumerWorker,
     OnlineStoreSink,
     SegmentLog,
+    encode_record,
 )
 from repro.clock import SimClock
 from repro.errors import ValidationError
@@ -75,8 +76,8 @@ class TestConsumerWorkerPump:
     def test_applies_records_appended_while_running(self, log, online):
         worker, __ = make_worker(log, online)
         worker.start()
-        log.append_many(0, [rec(i) for i in range(6)])
-        log.append_many(1, [rec(i + 100) for i in range(4)])
+        log.append_many(0, [encode_record(rec(i)) for i in range(6)])
+        log.append_many(1, [encode_record(rec(i + 100)) for i in range(4)])
         assert worker.wait_until_caught_up(timeout_s=5.0)
         worker.stop()
         assert worker.records_pumped.value == 10
@@ -89,7 +90,7 @@ class TestConsumerWorkerPump:
         worker.start()
         # Append and stop immediately — the nap window would miss these
         # without the final drain in _on_stop.
-        log.append_many(0, [rec(i) for i in range(8)])
+        log.append_many(0, [encode_record(rec(i)) for i in range(8)])
         worker.stop()
         assert worker.records_pumped.value == 8
         assert worker.consumer.total_lag() == 0
@@ -100,14 +101,14 @@ class TestConsumerWorkerPump:
         metrics = BusMetrics()
         worker, __ = make_worker(log, online, metrics=metrics)
         worker.start()
-        log.append_many(0, [rec(i) for i in range(5)])
+        log.append_many(0, [encode_record(rec(i)) for i in range(5)])
         assert worker.wait_until_caught_up()
         worker.stop()
 
         fresh_online = OnlineStore(clock=SimClock())
         successor, __ = make_worker(log, fresh_online, metrics=metrics)
         successor.start()
-        log.append_many(0, [rec(i + 50) for i in range(3)])
+        log.append_many(0, [encode_record(rec(i + 50)) for i in range(3)])
         assert successor.wait_until_caught_up()
         successor.stop()
         # Only the new records were re-applied; no duplicate deliveries.
@@ -118,7 +119,7 @@ class TestConsumerWorkerPump:
     def test_settle_publishes_lag_gauges(self, log, online):
         worker, metrics = make_worker(log, online)
         worker.start()
-        log.append_many(0, [rec(i) for i in range(4)])
+        log.append_many(0, [encode_record(rec(i)) for i in range(4)])
         assert worker.wait_until_caught_up()
         worker.stop()
         assert worker.settles.value >= 1
@@ -127,7 +128,7 @@ class TestConsumerWorkerPump:
     def test_health_record(self, log, online):
         worker, __ = make_worker(log, online)
         worker.start()
-        log.append_many(1, [rec(i) for i in range(3)])
+        log.append_many(1, [encode_record(rec(i)) for i in range(3)])
         assert worker.wait_until_caught_up()
         record = worker.health()
         assert record["healthy"] is True
@@ -154,7 +155,7 @@ class TestConsumerWorkerPump:
             consumer, [Journal("a", journal), Journal("b", journal)]
         )
         worker.start()
-        log.append_many(0, [rec(i) for i in range(2)])
+        log.append_many(0, [encode_record(rec(i)) for i in range(2)])
         assert worker.wait_until_caught_up()
         worker.stop()
         applies = [e for e in journal if e[1] != "flush"]

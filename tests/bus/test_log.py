@@ -9,9 +9,8 @@ from repro.bus.log import (
     SegmentLog,
     decode_payload,
     encode_record,
-    record_size,
 )
-from repro.errors import BusError, ValidationError
+from repro.errors import BusError, CorruptRecordError, ValidationError
 
 
 def rec(entity=1, ts=1.0, value=2.0, attrs=None, seq=0):
@@ -34,10 +33,6 @@ class TestFraming:
         record = rec()
         assert decode_payload(encode_record(record)[8:]) == record
 
-    def test_record_size_matches_frame(self):
-        record = rec(attrs={"x": 1.0, "y": 2.0})
-        assert record_size(record) == len(encode_record(record))
-
 
 class TestSegmentLog:
     def test_append_read_roundtrip(self, tmp_path):
@@ -59,7 +54,7 @@ class TestSegmentLog:
 
     def test_read_from_middle_and_past_end(self, tmp_path):
         with SegmentLog(tmp_path / "log", n_partitions=1) as log:
-            log.append_many(0, [rec(value=float(i)) for i in range(20)])
+            log.append_many(0, [encode_record(rec(value=float(i))) for i in range(20)])
             got = log.read(0, 15, 100)
             assert [o for o, _ in got] == list(range(15, 20))
             assert log.read(0, 20) == []
@@ -67,14 +62,14 @@ class TestSegmentLog:
 
     def test_max_records_respected(self, tmp_path):
         with SegmentLog(tmp_path / "log", n_partitions=1) as log:
-            log.append_many(0, [rec(value=float(i)) for i in range(50)])
+            log.append_many(0, [encode_record(rec(value=float(i))) for i in range(50)])
             assert len(log.read(0, 0, 7)) == 7
 
     def test_segment_rotation_and_cross_segment_read(self, tmp_path):
         # Tiny segments force many rotations; reads must stitch them back.
         with SegmentLog(tmp_path / "log", n_partitions=1, segment_bytes=128) as log:
             n = 100
-            log.append_many(0, [rec(value=float(i)) for i in range(n)])
+            log.append_many(0, [encode_record(rec(value=float(i))) for i in range(n)])
             segments = list((tmp_path / "log" / "partition-0000").glob("*.seg"))
             assert len(segments) > 1
             got = log.read(0, 0, n)
@@ -88,7 +83,7 @@ class TestSegmentLog:
     def test_reopen_preserves_offsets(self, tmp_path):
         path = tmp_path / "log"
         with SegmentLog(path, n_partitions=2, segment_bytes=256) as log:
-            log.append_many(0, [rec(value=float(i)) for i in range(30)])
+            log.append_many(0, [encode_record(rec(value=float(i))) for i in range(30)])
         with SegmentLog.open(path) as log:
             assert log.n_partitions == 2
             assert log.end_offset(0) == 30
@@ -123,7 +118,7 @@ class TestSegmentLog:
     def test_fsync_policies_accept_appends(self, tmp_path, policy):
         config = FsyncConfig(policy=policy, group_records=4, group_interval_s=0.01)
         with SegmentLog(tmp_path / "log", n_partitions=1, fsync=config) as log:
-            log.append_many(0, [rec(value=float(i)) for i in range(10)])
+            log.append_many(0, [encode_record(rec(value=float(i))) for i in range(10)])
             log.sync()
             assert log.end_offset(0) == 10
 
@@ -142,7 +137,45 @@ class TestSegmentLog:
 
     def test_total_records_and_truncated_bytes_clean(self, tmp_path):
         with SegmentLog(tmp_path / "log", n_partitions=2) as log:
-            log.append_many(0, [rec()] * 3)
-            log.append_many(1, [rec()] * 4)
+            log.append_many(0, [encode_record(rec())] * 3)
+            log.append_many(1, [encode_record(rec())] * 4)
             assert log.total_records() == 7
             assert log.truncated_bytes() == 0
+
+
+class TestFramePath:
+    def test_read_frames_returns_the_appended_bytes(self, tmp_path):
+        frames = [encode_record(rec(value=float(i), attrs={"a": i})) for i in range(12)]
+        with SegmentLog(tmp_path / "log", n_partitions=1, segment_bytes=256) as log:
+            assert log.append_many(0, frames) == list(range(12))
+            assert log.read_frames(0, 0, 100) == list(enumerate(frames))
+            assert log.read_frames(0, 7, 3) == [(i, frames[i]) for i in (7, 8, 9)]
+            assert log.read_frames(0, 12) == []
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda f: f[:-1] + bytes([f[-1] ^ 0xFF]),  # payload bit flip
+            lambda f: f[:-3],  # short frame
+            lambda f: f + b"\x00",  # trailing garbage
+            lambda f: b"",  # empty element
+        ],
+        ids=["flipped", "short", "trailing", "empty"],
+    )
+    def test_append_many_rejects_a_damaged_batch_whole(self, tmp_path, damage):
+        good = encode_record(rec(value=1.0))
+        with SegmentLog(tmp_path / "log", n_partitions=1) as log:
+            log.append(0, rec(value=0.0))
+            with pytest.raises(CorruptRecordError):
+                log.append_many(0, [good, damage(good), good])
+            assert log.end_offset(0) == 1
+            assert [r.value for __, r in log.read(0, 0)] == [0.0]
+
+    def test_append_many_rejects_misaligned_elements(self, tmp_path):
+        """Two valid frames split across list elements at the wrong byte
+        still form a valid image; each element must be one frame."""
+        image = encode_record(rec(value=1.0)) + encode_record(rec(value=2.0))
+        with SegmentLog(tmp_path / "log", n_partitions=1) as log:
+            with pytest.raises(CorruptRecordError):
+                log.append_many(0, [image[:10], image[10:]])
+            assert log.end_offset(0) == 0

@@ -40,7 +40,7 @@ class TestTornTail:
     def test_truncation_keeps_crc_valid_prefix(self, tmp_path):
         path = tmp_path / "log"
         with SegmentLog(path, n_partitions=1) as log:
-            log.append_many(0, [rec(i) for i in range(50)])
+            log.append_many(0, [encode_record(rec(i)) for i in range(50)])
         seg = tail_segment(path)
         size = seg.stat().st_size
         frame = len(encode_record(rec(0)))
@@ -58,7 +58,7 @@ class TestTornTail:
     def test_corrupt_byte_mid_tail_truncates_from_there(self, tmp_path):
         path = tmp_path / "log"
         with SegmentLog(path, n_partitions=1) as log:
-            log.append_many(0, [rec(i) for i in range(20)])
+            log.append_many(0, [encode_record(rec(i)) for i in range(20)])
         seg = tail_segment(path)
         frame = len(encode_record(rec(0)))
         # Flip a payload byte inside record 10: CRC fails there, records
@@ -77,9 +77,9 @@ class TestTornTail:
         log = SegmentLog(
             path, n_partitions=1, fsync=FsyncConfig(policy=FsyncPolicy.NONE)
         )
-        log.append_many(0, [rec(i) for i in range(30)])
+        log.append_many(0, [encode_record(rec(i)) for i in range(30)])
         log.sync()  # explicit ack barrier: 30 records durable
-        log.append_many(0, [rec(i) for i in range(30, 40)])  # unacknowledged
+        log.append_many(0, [encode_record(rec(i)) for i in range(30, 40)])  # unacknowledged
         log.close()
         # Crash tears the unacknowledged suffix.
         seg = tail_segment(path)
@@ -116,7 +116,7 @@ class TestTornTail:
                 )
                 for i in range(n_records)
             ]
-            log.append_many(0, records)
+            log.append_many(0, [encode_record(r) for r in records])
         seg = tail_segment(path)
         data = seg.read_bytes()
         cut = rng.randrange(0, len(data) + 1)
@@ -181,7 +181,7 @@ class TestConsumerRecovery:
     def test_uncommitted_records_are_redelivered(self, tmp_path):
         path = tmp_path / "log"
         with SegmentLog(path, n_partitions=1) as log:
-            log.append_many(0, [rec(i) for i in range(10)])
+            log.append_many(0, [encode_record(rec(i)) for i in range(10)])
             consumer = Consumer(log, group="g")
             first = consumer.poll(4)
             consumer.commit()
@@ -196,7 +196,7 @@ class TestConsumerRecovery:
     def test_checkpoint_beyond_truncated_log_is_clamped(self, tmp_path):
         path = tmp_path / "log"
         with SegmentLog(path, n_partitions=1) as log:
-            log.append_many(0, [rec(i) for i in range(20)])
+            log.append_many(0, [encode_record(rec(i)) for i in range(20)])
             consumer = Consumer(log, group="g")
             consumer.poll(100)
             consumer.commit()  # committed next-offset = 20

@@ -9,19 +9,25 @@ These are the crash shapes that corrupt replicas in real systems:
   boundary — the "off by one segment" trap for offset bookkeeping;
 * the network delivers the same frames twice (leader retry after a lost
   ack) — the log-level skip plus the sink's DedupeWindow must keep the
-  store effectively-once.
+  store effectively-once;
+* a shipped frame is damaged in flight — the follower must refuse the
+  whole batch before its log sees a byte.
 """
 
+import struct
+import zlib
 from pathlib import Path
 
+import pytest
+
 from repro.bus import BusRecord, ConsumedRecord, DedupeWindow, encode_record
-from repro.bus.log import record_size
 from repro.bus.sinks import OnlineStoreSink
 from repro.cluster import ClusterNode, NodeConfig, NodeRole
+from repro.errors import CorruptRecordError
 from repro.runtime import await_condition
 from repro.storage.online import OnlineStore
 
-from tests.cluster.conftest import assert_logs_identical, make_pair
+from tests.cluster.conftest import assert_logs_identical, make_pair, segment_files
 
 
 def _put(transport, entity_id, value, **extra):
@@ -91,7 +97,7 @@ class TestTornTail:
             )
             tail = sorted(partition_dir.glob("*.seg"))[-1]
             record = BusRecord(entity_id=0, timestamp=1.0, value=1.0)
-            frame_len = record_size(record)
+            frame_len = len(encode_record(record))
             tail.write_bytes(tail.read_bytes()[: -2 * frame_len])
 
             follower = _restart_follower(follower, transport)
@@ -113,7 +119,7 @@ class TestRotationBoundary:
         rotates; catch-up must create the next segment at the same base
         offset the leader chose — byte-identical files, same names."""
         record = BusRecord(entity_id=0, timestamp=1.0, value=1.0)
-        frame_len = record_size(record)
+        frame_len = len(encode_record(record))
         # exactly 4 records per segment, single partition for control
         transport, leader, follower = make_pair(
             tmp_path,
@@ -244,3 +250,52 @@ class TestDuplicateDelivery:
         sink.apply_batch(replay)
         for eid in range(5):
             assert store.read("features", eid)["value"] == 1.0
+
+
+def _flip_payload_byte(frame: bytes) -> bytes:
+    return frame[:-1] + bytes([frame[-1] ^ 0x01])
+
+
+def _zero_length(frame: bytes) -> bytes:
+    # a well-formed header for an empty payload, CRC included
+    return struct.pack("<II", 0, zlib.crc32(b""))
+
+
+class TestDamagedFrame:
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _flip_payload_byte,
+            lambda frame: frame[:-4],
+            lambda frame: frame + b"\x00garbage",
+            _zero_length,
+        ],
+        ids=["flipped-payload-byte", "short", "trailing-garbage", "zero-length"],
+    )
+    def test_damaged_frame_is_refused_and_writes_nothing(self, pair, damage):
+        """Fail closed: a replicate batch carrying one damaged frame
+        raises, and the follower's log keeps its end offset and bytes."""
+        transport, __, follower = pair
+        frames = [
+            encode_record(BusRecord(entity_id=i, timestamp=1.0, value=float(i)))
+            for i in range(4)
+        ]
+        transport.request(
+            "test", "F", "replicate",
+            {"partition": 0, "base_offset": 0, "frames": frames[:2]},
+        )
+        log_dir = Path(follower.config.data_dir) / "log"
+        follower.log.flush()
+        before = segment_files(log_dir)
+        with pytest.raises(CorruptRecordError):
+            transport.request(
+                "test", "F", "replicate",
+                {
+                    "partition": 0,
+                    "base_offset": 2,
+                    "frames": [frames[2], damage(frames[3])],
+                },
+            )
+        assert follower.log.end_offset(0) == 2
+        follower.log.flush()
+        assert segment_files(log_dir) == before

@@ -24,6 +24,7 @@ from repro.bus import (
     ConsumerWorker,
     OnlineStoreSink,
     SegmentLog,
+    encode_record,
 )
 from repro.clock import SimClock
 from repro.runtime import (
@@ -104,8 +105,8 @@ class TestRuntimeStack:
         assert group.health()["healthy"] is True
 
         # Feed the bus and wait for the consumer to land rows online.
-        stack["log"].append_many(0, [rec(i) for i in range(0, 200, 2)])
-        stack["log"].append_many(1, [rec(i) for i in range(1, 200, 2)])
+        stack["log"].append_many(0, [encode_record(rec(i)) for i in range(0, 200, 2)])
+        stack["log"].append_many(1, [encode_record(rec(i)) for i in range(1, 200, 2)])
         assert stack["worker"].wait_until_caught_up(timeout_s=10.0)
 
         # Mixed load from client threads while we pull the plug.
@@ -195,7 +196,7 @@ class TestRuntimeStack:
     def test_one_registry_exports_every_plane(self, stack):
         group = stack["group"]
         group.start()
-        stack["log"].append_many(0, [rec(i) for i in range(20)])
+        stack["log"].append_many(0, [encode_record(rec(i)) for i in range(20)])
         assert stack["worker"].wait_until_caught_up(timeout_s=10.0)
         assert stack["gateway"].get_features("bus_fx", 0) is not None
         stack["vectors"].search("items", stack["matrix"][0], k=3)

@@ -15,13 +15,18 @@ that substrate is:
   :class:`MetricsRegistry` with JSON and Prometheus-text exporters;
 * :mod:`repro.runtime.resilience` — :class:`FaultPolicy` +
   :class:`FaultInjector` (seeded fault rehearsal), :class:`Deadline`,
-  :class:`RetryPolicy` and :func:`retry_call`.
+  :class:`RetryPolicy` and :func:`retry_call`;
+* :mod:`repro.runtime.batching` — :class:`Batcher`, the one
+  queue-and-drain service that coalesces concurrent single-item
+  requests into grouped calls (the gateway's feature reads and the
+  vector service's queries are two configurations of it).
 
 Layering contract (enforced by ``tools/check_layering.py``): this
 package imports nothing above it — only the stdlib, ``repro.errors``
 and ``repro.clock``. Every plane imports *down* into it.
 """
 
+from repro.runtime.batching import Batcher
 from repro.runtime.lifecycle import (
     LifecycleError,
     PeriodicTask,
@@ -47,6 +52,7 @@ from repro.runtime.telemetry import (
 )
 
 __all__ = [
+    "Batcher",
     "Counter",
     "Deadline",
     "FaultInjector",

@@ -5,18 +5,16 @@ features *and* embeddings to deployed models. This package is that tier:
 
 * :mod:`repro.serving.gateway` — the :class:`ServingGateway` request API
   (``get_features`` / ``get_embeddings`` / ``nearest_neighbors`` / fused
-  ``enrich``) with deadlines, retries and graceful degradation;
+  ``enrich``) with deadlines, retries, graceful degradation and
+  micro-batched point reads (a :class:`repro.runtime.Batcher` grouping
+  lookups by ``(namespace, policy)``);
 * :mod:`repro.serving.cache` — read-through LRU+TTL cache with a
   Zipfian-aware hot-key tier and write-path invalidation;
-* :mod:`repro.serving.batcher` — micro-batching of concurrent point
-  lookups into batched store reads;
 * :mod:`repro.serving.faults` — fault-injecting store wrapper (latency,
   timeouts, transient errors) the robustness machinery is tested against;
 * :mod:`repro.serving.metrics` — latency histograms, counters, gauges;
 * :mod:`repro.serving.loadgen` — closed-loop Zipfian load generation.
 """
-
-from repro.serving.batcher import MicroBatcher
 
 # Re-exported so higher planes (repro.net) can name freshness semantics
 # without importing the storage layer directly.
@@ -53,7 +51,6 @@ __all__ = [
     "LoadConfig",
     "LoadReport",
     "LookupStatus",
-    "MicroBatcher",
     "ReadThroughCache",
     "ServingGateway",
     "ServingMetrics",

@@ -10,8 +10,9 @@ SLO monitoring; see PAPERS.md); this module is that tier for ``repro``:
   :meth:`nearest_neighbors`, and the fused :meth:`enrich` that returns a
   feature vector plus the compatibility-checked embedding row in a single
   round trip;
-* **micro-batching** — concurrent point lookups coalesce into batched
-  store reads (:mod:`repro.serving.batcher`);
+* **micro-batching** — concurrent point lookups coalesce into one
+  ``read_many`` per ``(namespace, policy)`` group, through a
+  :class:`repro.runtime.Batcher`;
 * **read-through caching** — LRU + TTL + Zipfian hot tier
   (:mod:`repro.serving.cache`), invalidated by the store's write path;
 * **robust execution** — a bounded worker pool, per-request deadlines,
@@ -44,8 +45,7 @@ from repro.errors import (
     TransientStoreError,
     ValidationError,
 )
-from repro.runtime import Deadline, MetricsRegistry, RetryPolicy, Service
-from repro.serving.batcher import MicroBatcher
+from repro.runtime import Batcher, Deadline, MetricsRegistry, RetryPolicy, Service
 from repro.serving.cache import CacheEntry, LookupStatus, ReadThroughCache
 from repro.serving.metrics import EndpointMetrics, ServingMetrics
 from repro.storage.online import FreshnessPolicy
@@ -154,7 +154,7 @@ class ServingGateway(Service):
             if self.config.enable_cache
             else None
         )
-        self.batcher: MicroBatcher | None = None
+        self.batcher: Batcher | None = None
         self._listening = False
         self.start()  # historical contract: constructed == serving
 
@@ -162,8 +162,9 @@ class ServingGateway(Service):
 
     def _on_start(self) -> None:
         if self.config.enable_batching:
-            self.batcher = MicroBatcher(
-                read_many=self._upstream_read_many,
+            self.batcher = Batcher(
+                self._read_group,
+                name="microbatcher",
                 max_batch_size=self.config.max_batch_size,
                 max_wait_s=self.config.batch_wait_s,
                 n_workers=self.config.n_workers,
@@ -181,7 +182,8 @@ class ServingGateway(Service):
 
     # -- plumbing -------------------------------------------------------------
 
-    def _upstream_read_many(self, namespace, entity_ids, policy):
+    def _read_group(self, group, entity_ids):
+        namespace, policy = group
         return self.online.read_many(namespace, entity_ids, policy)
 
     def _on_store_write(self, namespace: str, entity_id: int) -> None:
@@ -272,7 +274,7 @@ class ServingGateway(Service):
             state.attempts += 1
             try:
                 if use_batcher:
-                    future = self.batcher.submit(namespace, entity_id, policy)
+                    future = self.batcher.submit((namespace, policy), entity_id)
                     try:
                         return future.result(timeout=remaining)
                     except FutureTimeoutError as exc:

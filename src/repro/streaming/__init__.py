@@ -15,7 +15,6 @@ from repro.streaming.processor import (
     StreamFeature,
     StreamProcessor,
 )
-from repro.streaming.pump import StreamPump
 from repro.streaming.windows import (
     EwmaAggregator,
     SlidingWindowAggregator,
@@ -29,7 +28,6 @@ __all__ = [
     "SlidingWindowAggregator",
     "StreamAggregator",
     "StreamFeature",
-    "StreamPump",
     "StreamProcessor",
     "TumblingWindowAggregator",
 ]

@@ -29,7 +29,7 @@ from repro.vecserve.bus_sink import (
 )
 from repro.vecserve.delta import DeltaFreeze, DeltaIndex
 from repro.vecserve.monitor import RecallMonitor, VectorServeMetrics
-from repro.vecserve.service import BACKENDS, VectorQueryBatcher, VectorService
+from repro.vecserve.service import BACKENDS, VectorService
 from repro.vecserve.shards import (
     ShardedSearchResult,
     ShardedVectorIndex,
@@ -63,7 +63,6 @@ __all__ = [
     "ShardedSearchResult",
     "ShardedVectorIndex",
     "SnapshotCell",
-    "VectorQueryBatcher",
     "VectorServeMetrics",
     "VectorService",
     "VectorShard",

@@ -18,9 +18,9 @@ per served ``(embedding_name, version)`` table and offers:
   plane immediately (delta-visible), with background or threshold-driven
   compaction folding mutations into the next sealed generation;
 * **micro-batched queries** — with ``batch_queries=True`` concurrent
-  single-query callers are coalesced into one scatter-gather per shard
-  batch (:class:`VectorQueryBatcher`), the vector-plane analogue of the
-  gateway's feature micro-batcher;
+  single-query callers are coalesced into one scatter-gather per
+  ``(table, version, k)`` group, through the same
+  :class:`repro.runtime.Batcher` the gateway batches feature reads with;
 * **online monitoring** — every table carries
   :class:`~repro.vecserve.monitor.VectorServeMetrics` and a sampled
   :class:`~repro.vecserve.monitor.RecallMonitor`, registered in the
@@ -28,18 +28,16 @@ per served ``(embedding_name, version)`` table and offers:
   mirrored into an attached serving-metrics facade and rendered by
   :func:`repro.monitoring.dashboard.vector_section`.
 
-Both the service and its query batcher are
-:class:`repro.runtime.Service` instances: idempotent ``stop()``/
-``close()``, a shared state machine, and auto-compaction running on a
-:class:`repro.runtime.PeriodicTask` instead of a hand-rolled thread.
+The service is a :class:`repro.runtime.Service`: idempotent ``stop()``/
+``close()`` (which drains the query batcher), a shared state machine,
+and auto-compaction running on a :class:`repro.runtime.PeriodicTask`
+instead of a hand-rolled thread.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -54,7 +52,7 @@ from repro.index import (
     LSHIndex,
 )
 from repro.runtime import (
-    Counter,
+    Batcher,
     Deadline,
     MetricsRegistry,
     PeriodicTask,
@@ -86,149 +84,6 @@ class _ServedTable:
     backend: str
     sharded: ShardedVectorIndex
     recall: RecallMonitor
-
-
-@dataclass
-class _QueryRequest:
-    key: tuple[str, int]
-    k: int
-    query: np.ndarray
-    future: Future
-    #: the submitter's remaining latency budget; the batch it lands in is
-    #: bounded by the *tightest* member so one caller's deadline is never
-    #: silently loosened by co-batched traffic
-    deadline: Deadline | None = None
-
-
-_STOP = object()
-
-
-class VectorQueryBatcher(Service):
-    """Coalesce concurrent single-vector queries into shard-batched calls.
-
-    Same queue-and-drain shape as the feature
-    :class:`~repro.serving.batcher.MicroBatcher`: callers enqueue and
-    block on a future; a worker drains up to ``max_batch_size`` requests
-    (waiting ``max_wait_s`` for stragglers), groups them by
-    ``(table, k)`` and issues one
-    :meth:`~repro.vecserve.shards.ShardedVectorIndex.search_batch` per
-    group — paying the scatter fan-out once per batch instead of once
-    per query. A :class:`repro.runtime.Service` with the historical
-    constructed-== -running contract; ``stop()``/``close()`` are
-    idempotent and drain queued queries before the workers exit.
-    """
-
-    def __init__(
-        self,
-        run_batch,
-        max_batch_size: int = 32,
-        max_wait_s: float = 0.0005,
-        n_workers: int = 2,
-    ) -> None:
-        if max_batch_size < 1:
-            raise ValidationError(f"max_batch_size must be >= 1 ({max_batch_size=})")
-        if max_wait_s < 0:
-            raise ValidationError(f"max_wait_s must be >= 0 ({max_wait_s=})")
-        if n_workers < 1:
-            raise ValidationError(f"n_workers must be >= 1 ({n_workers=})")
-        super().__init__(name="vector-query-batcher")
-        self._run_batch = run_batch
-        self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
-        self.n_workers = n_workers
-        self._queue: queue.Queue = queue.Queue()
-        self.batches = Counter()
-        self.batched_requests = Counter()
-        self.start()  # historical contract: constructed == running
-
-    def _on_start(self) -> None:
-        for i in range(self.n_workers):
-            self._spawn(self._worker_loop, name=f"vecbatch-{i}")
-
-    def _on_stop(self) -> None:
-        self._queue.put(_STOP)
-        self._join_workers()
-
-    def submit(
-        self,
-        key: tuple[str, int],
-        query: np.ndarray,
-        k: int,
-        deadline: Deadline | None = None,
-    ) -> Future:
-        # Check + enqueue under the lifecycle lock: the request either
-        # precedes the stop sentinel (served during the drain) or is
-        # rejected — never stranded behind it with a forever-pending
-        # future.
-        with self._state_lock:
-            self._check_running("submit queries")
-            future: Future = Future()
-            self._queue.put(_QueryRequest(key, k, query, future, deadline))
-        return future
-
-    def mean_batch_size(self) -> float:
-        batches = self.batches.value
-        return self.batched_requests.value / batches if batches else 0.0
-
-    def health(self) -> dict[str, object]:
-        record = super().health()
-        record["queue_depth"] = self._queue.qsize()
-        record["batches"] = self.batches.value
-        return record
-
-    def _worker_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                self._queue.put(_STOP)
-                return
-            batch = [item]
-            deadline = time.monotonic() + self.max_wait_s
-            while len(batch) < self.max_batch_size:
-                remaining = deadline - time.monotonic()
-                try:
-                    nxt = self._queue.get(
-                        block=remaining > 0, timeout=max(remaining, 0) or None
-                    )
-                except queue.Empty:
-                    break
-                if nxt is _STOP:
-                    self._queue.put(_STOP)
-                    break
-                batch.append(nxt)
-            self.batches.inc()
-            self.batched_requests.inc(len(batch))
-            self._execute(batch)
-
-    def _execute(self, batch: list[_QueryRequest]) -> None:
-        groups: dict[tuple[tuple[str, int], int], list[_QueryRequest]] = {}
-        for request in batch:
-            groups.setdefault((request.key, request.k), []).append(request)
-        for (key, k), requests in groups.items():
-            # The shard fan-out honors the tightest remaining budget in
-            # the group (clamped to ~0 so an already-expired member still
-            # gets a fast partial answer rather than an unbounded scan).
-            budgets = [
-                r.deadline.remaining()
-                for r in requests
-                if r.deadline is not None
-            ]
-            deadline_s = max(min(budgets), 1e-4) if budgets else None
-            try:
-                results = self._run_batch(
-                    key,
-                    np.stack([r.query for r in requests]),
-                    k,
-                    deadline_s=deadline_s,
-                )
-            except BaseException as exc:  # noqa: BLE001 - forwarded to callers
-                for request in requests:
-                    if not request.future.cancelled():
-                        request.future.set_exception(exc)
-                continue
-            for request, result in zip(requests, results):
-                if not request.future.cancelled():
-                    request.future.set_result(result)
 
 
 class VectorService(Service):
@@ -264,7 +119,7 @@ class VectorService(Service):
         self._max_batch_size = max_batch_size
         self._batch_wait_s = batch_wait_s
         self._executor: ThreadPoolExecutor | None = None
-        self.batcher: VectorQueryBatcher | None = None
+        self.batcher: Batcher | None = None
         self._compaction_task: PeriodicTask | None = None
         self.start()  # historical contract: constructed == running
 
@@ -275,8 +130,9 @@ class VectorService(Service):
             max_workers=self._n_workers, thread_name_prefix="vecserve"
         )
         if self._batch_queries:
-            self.batcher = VectorQueryBatcher(
-                run_batch=self._run_batch,
+            self.batcher = Batcher(
+                self._run_batch,
+                name="vector-query-batcher",
                 max_batch_size=self._max_batch_size,
                 max_wait_s=self._batch_wait_s,
             )
@@ -479,12 +335,21 @@ class VectorService(Service):
 
     def _run_batch(
         self,
-        key: tuple[str, int],
-        queries: np.ndarray,
-        k: int,
-        deadline_s: float | None = None,
+        group: tuple[str, int, int],
+        items: list[tuple[np.ndarray, Deadline | None]],
     ) -> list[ShardedSearchResult]:
-        table = self._resolve(*key)
+        """The query batcher's group runner: one fan-out per group.
+
+        The fan-out honors the tightest remaining budget in the group,
+        so co-batched traffic never loosens one caller's deadline
+        (clamped to ~0 so an already-expired member still gets a fast
+        partial answer rather than an unbounded scan).
+        """
+        name, version, k = group
+        table = self._resolve(name, version)
+        queries = np.stack([query for query, __ in items])
+        budgets = [d.remaining() for __, d in items if d is not None]
+        deadline_s = max(min(budgets), 1e-4) if budgets else None
         results = table.sharded.search_batch(queries, k, deadline_s=deadline_s)
         for query, result in zip(queries, results):
             table.recall.maybe_observe(query, result)
@@ -520,10 +385,8 @@ class VectorService(Service):
                 Deadline.after(deadline_s) if deadline_s is not None else None
             )
             future = self.batcher.submit(
-                (table.name, table.version),
-                np.asarray(query, dtype=float),
-                k,
-                deadline=deadline,
+                (table.name, table.version, k),
+                (np.asarray(query, dtype=float), deadline),
             )
             if deadline is None:
                 return future.result()

@@ -1,7 +1,7 @@
 """Regression: a request deadline must bound the *batched* vector path.
 
-Historically ``VectorService.search`` only routed through the
-:class:`~repro.vecserve.service.VectorQueryBatcher` when the caller
+Historically ``VectorService.search`` only routed through the query
+batcher (a :class:`~repro.runtime.Batcher`) when the caller
 passed no deadline, and the batched future wait was unbounded — so a
 request-scoped deadline handed to :meth:`ServingGateway.search_neighbors`
 silently stopped applying the moment query batching was enabled. These

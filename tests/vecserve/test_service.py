@@ -195,12 +195,13 @@ class TestQueryBatcher:
             snap = service.snapshot()
             assert snap["batch"]["batched_requests"] == 40
 
-    def test_explicit_deadline_bypasses_batcher(self, corpus):
+    def test_explicit_deadline_goes_through_batcher(self, corpus):
         __, vectors = corpus
         with VectorService(n_workers=4, batch_queries=True) as service:
             _serve(service, corpus)
             result = service.search("emb", vectors[3], k=1, deadline_s=1.0)
             assert result.ids[0] == 3
+            assert service.batcher.batched_requests.value == 1
 
     def test_batcher_forwards_errors(self, corpus):
         with VectorService(n_workers=2, batch_queries=True) as service:

@@ -7,7 +7,14 @@ PR that adds a package, a module or an exported name shows it here.
 
 * **lines** — physical lines of every ``*.py`` file under the package;
 * **public** — names in the package root's ``__all__`` (the plane's
-  public API; layering rule 2 forbids reaching past it).
+  public API; layering rule 2 forbids reaching past it);
+* **test_only** — public top-level functions and classes of the package
+  that no other ``src`` module, benchmark, example or tool uses: only
+  their own module and the tests keep them alive (a public helper its
+  own module uses counts — it could be private). "Uses" is an AST scan
+  for the name as a loaded identifier or an attribute; imports and
+  ``__all__`` entries do not count, and a name shared with another def
+  hides both, so the column is a lower bound.
 
 ::
 
@@ -21,7 +28,10 @@ import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+#: trees whose code keeps a ``src`` def alive besides ``src`` itself
+USERS = ("benchmarks", "examples", "tools")
 
 
 def count_lines(path: Path) -> int:
@@ -41,8 +51,48 @@ def public_names(init: Path) -> int:
     return 0
 
 
-def ledger() -> list[tuple[str, int, int, int]]:
-    """(unit, modules, lines, public names), top-level modules as one unit."""
+def public_defs(tree: ast.Module) -> list[str]:
+    """Names of the module's public top-level functions and classes."""
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Identifiers the module loads or reaches as attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def ledger() -> list[tuple[str, int, int, int, int]]:
+    """(unit, modules, lines, public names, test-only defs) per package.
+
+    Top-level modules are one unit.
+    """
+    trees = {
+        path: ast.parse(path.read_text())
+        for path in [
+            *SRC.rglob("*.py"),
+            *(f for tree in USERS for f in (ROOT / tree).rglob("*.py")),
+        ]
+    }
+    uses = {path: used_names(tree) for path, tree in trees.items()}
+
+    def test_only(files: list[Path]) -> int:
+        return sum(
+            not any(name in names for other, names in uses.items() if other != path)
+            for path in files
+            for name in public_defs(trees[path])
+        )
+
     rows = []
     for package in sorted(p for p in SRC.iterdir() if (p / "__init__.py").exists()):
         files = sorted(package.rglob("*.py"))
@@ -51,6 +101,7 @@ def ledger() -> list[tuple[str, int, int, int]]:
             len(files),
             sum(count_lines(f) for f in files),
             public_names(package / "__init__.py"),
+            test_only(files),
         ))
     loose = sorted(SRC.glob("*.py"))
     rows.append((
@@ -58,6 +109,7 @@ def ledger() -> list[tuple[str, int, int, int]]:
         len(loose),
         sum(count_lines(f) for f in loose),
         public_names(SRC / "__init__.py"),
+        test_only(loose),
     ))
     return rows
 
@@ -65,12 +117,19 @@ def ledger() -> list[tuple[str, int, int, int]]:
 def main() -> int:
     rows = ledger()
     width = max(len(r[0]) for r in rows)
-    print(f"{'package':<{width}}  {'modules':>7}  {'lines':>6}  {'public':>6}")
-    for name, modules, lines, public in rows:
-        print(f"{name:<{width}}  {modules:>7}  {lines:>6}  {public:>6}")
+    print(
+        f"{'package':<{width}}  {'modules':>7}  {'lines':>6}  {'public':>6}  "
+        f"{'test_only':>9}"
+    )
+    for name, modules, lines, public, unused in rows:
+        print(
+            f"{name:<{width}}  {modules:>7}  {lines:>6}  {public:>6}  "
+            f"{unused:>9}"
+        )
     print(
         f"{'total':<{width}}  {sum(r[1] for r in rows):>7}  "
-        f"{sum(r[2] for r in rows):>6}  {sum(r[3] for r in rows):>6}"
+        f"{sum(r[2] for r in rows):>6}  {sum(r[3] for r in rows):>6}  "
+        f"{sum(r[4] for r in rows):>9}"
     )
     return 0
 

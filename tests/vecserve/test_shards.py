@@ -9,11 +9,21 @@ from repro.errors import ValidationError
 from repro.index import BruteForceIndex, recall_at_k
 from repro.index.base import SearchResult
 from repro.serving.faults import FaultPolicy
+from repro.vecserve import BACKENDS
 from repro.vecserve.shards import (
     ShardedVectorIndex,
     merge_topk,
     shard_for,
 )
+
+
+#: Backend settings sized for ~75-row shards (as in test_backend_parity).
+PARITY_KWARGS = {
+    "brute": {},
+    "lsh": {"n_tables": 8, "n_bits": 10, "seed": 0},
+    "ivf": {"n_cells": 8, "n_probes": 4, "seed": 0},
+    "hnsw": {"m": 8, "ef_construction": 64, "ef_search": 48, "seed": 0},
+}
 
 
 @pytest.fixture(scope="module")
@@ -71,13 +81,61 @@ class TestParity:
                 np.testing.assert_allclose(got.scores, expected.scores)
 
     def test_search_batch_matches_single_queries(self, data):
-        with _sharded(data) as sharded:
-            rng = np.random.default_rng(2)
-            queries = rng.normal(size=(6, 8))
-            batched = sharded.search_batch(queries, k=5)
-            for query, batch_result in zip(queries, batched):
-                single = sharded.search(query, k=5)
-                assert batch_result.ids.tolist() == single.ids.tolist()
+        """``search(q)`` and ``search_batch`` answer identically on every
+        backend × storage format, over a live set with upserts (new and
+        shadowing) and tombstones, with oracle re-ranking, and at a k
+        larger than the live row count."""
+        ids, vectors = data
+        rng = np.random.default_rng(2)
+        queries = rng.normal(size=(6, 8))
+        fresh_ids = np.asarray([9001, 9002, 17, 42], dtype=np.int64)
+        fresh = rng.normal(size=(4, 8))
+        dead = np.asarray([3, 99, 9002, 123], dtype=np.int64)
+        configs = [
+            (backend, {"codec": codec})
+            for backend in sorted(BACKENDS)
+            for codec in (None, "fp32", "int8", "pq")
+        ] + [
+            (
+                "brute",
+                {"codec": "int8", "keep_oracle": True, "rerank_oversample": 4},
+            )
+        ]
+        for backend, options in configs:
+            with ShardedVectorIndex(
+                dim=8,
+                factory=lambda: BACKENDS[backend](**PARITY_KWARGS[backend]),
+                n_shards=4,
+                default_deadline_s=30.0,
+                **options,
+            ) as sharded:
+                sharded.bulk_load(ids, vectors)
+                sharded.upsert(fresh_ids, fresh)
+                sharded.remove(dead)
+                live = len(ids) + 2 - 3
+                for k in (5, live + 50):
+                    label = f"{backend} {options} k={k}"
+                    batched = sharded.search_batch(queries, k=k)
+                    for query, batch_result in zip(queries, batched):
+                        single = sharded.search(query, k=k)
+                        (alone,) = sharded.search_batch(query[None], k=k)
+                        assert not single.partial and not alone.partial
+                        assert alone.ids.tolist() == single.ids.tolist(), label
+                        np.testing.assert_allclose(
+                            alone.scores, single.scores, rtol=1e-12,
+                            err_msg=label,
+                        )
+                        # a wider batch scores through float32 matmuls
+                        # that may round differently from a one-row one
+                        assert (
+                            batch_result.ids.tolist() == single.ids.tolist()
+                        ), label
+                        np.testing.assert_allclose(
+                            batch_result.scores, single.scores, atol=1e-6,
+                            err_msg=label,
+                        )
+                        assert not set(dead.tolist()) & set(single.ids.tolist())
+                        assert len(single) <= live
 
 
 class TestLiveMutations:

@@ -28,9 +28,9 @@ from __future__ import annotations
 import threading
 
 from repro.clock import SimClock
+from repro.runtime import FaultPolicy
 from repro.serving import (
     FaultInjectingOnlineStore,
-    FaultPolicy,
     GatewayConfig,
     LoadConfig,
     ServingGateway,

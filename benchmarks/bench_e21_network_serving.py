@@ -49,9 +49,8 @@ from repro.net import (
     ServerConfig,
     run_network_load,
 )
-from repro.runtime import ServiceGroup, await_condition
+from repro.runtime import FaultPolicy, ServiceGroup, await_condition
 from repro.serving import FaultInjectingOnlineStore, ServingGateway
-from repro.serving.faults import FaultPolicy
 from repro.serving.gateway import GatewayConfig
 from repro.storage.online import OnlineStore
 

@@ -18,9 +18,9 @@ from repro.clock import SimClock
 from repro.core.embedding_store import EmbeddingStore, Provenance
 from repro.embeddings import EmbeddingMatrix
 from repro.monitoring import serving_section
+from repro.runtime import FaultPolicy
 from repro.serving import (
     FaultInjectingOnlineStore,
-    FaultPolicy,
     GatewayConfig,
     LoadConfig,
     ServingGateway,

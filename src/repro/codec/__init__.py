@@ -12,10 +12,10 @@ that never materialize the decoded database.
   implementations: :class:`Fp32Codec` (float32 passthrough, 2x vs the
   float64 raw matrix), :class:`Int8Codec` (per-dimension scalar
   quantization, 8x), and :class:`PQCodec` (k-means codebooks over
-  subspaces, 16-64x), plus codec state (de)serialization for coded
-  snapshot formats.
+  subspaces, 16-64x), plus codec state (de)serialization.
 * :mod:`repro.codec.adc` — the scan primitives: exact top-k over coded
-  rows for one query or a batch, returning raw row positions so callers
+  rows for a query batch (a single query is a batch of one through the
+  same kernel), returning raw row positions so callers
   (``repro.vecserve`` snapshots) can map to their own id spaces.
 
 Layering: this package sits *below* every plane — it imports only numpy

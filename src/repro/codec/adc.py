@@ -3,7 +3,9 @@
 These are the functions the vector serving plane actually calls per
 query. They stay deliberately dumb: score every coded row with the
 codec's asymmetric kernel, partial-sort, return *row positions* and
-scores. Id mapping, delta merging, masking and re-ranking all belong to
+scores. Each codec has one kernel, the batched
+``VectorCodec._adc_scores_batch``; a single query (``adc_scores``,
+``adc_topk``) is a batch of one through it. Id mapping, delta merging, masking and re-ranking all belong to
 the caller — keeping this module importable from anywhere in the DAG
 (it depends only on :mod:`repro.codec.codecs` and numpy).
 
@@ -25,7 +27,8 @@ from repro.errors import ValidationError
 def adc_scores(
     codec: VectorCodec, coded: CodedVectors, query: np.ndarray
 ) -> np.ndarray:
-    """Score one fp query against every coded row; ``(n,)`` float64."""
+    """Score one fp query against every coded row (a batch of one);
+    ``(n,)`` float64."""
     return codec.adc_scores(coded, query)
 
 
@@ -57,8 +60,8 @@ def adc_topk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k coded rows for one query: ``(positions, scores)``, descending.
 
-    Exact over the codes (full scan + partial sort); positions index into
-    ``coded`` row order.
+    Exact over the codes (full scan + partial sort, scored as a batch of
+    one); positions index into ``coded`` row order.
     """
     if k < 0:
         raise ValidationError(f"k must be non-negative ({k=})")

@@ -9,7 +9,7 @@ ranks by are computed without ever materializing the decoded matrix.
 
 The math per codec:
 
-* **fp32** — codes are the float32 matrix itself. ADC is a BLAS sgemv;
+* **fp32** — codes are the float32 matrix itself. ADC is one BLAS matmul;
   the decoded error is float32 rounding (~1e-7 relative).
 * **int8 (scalar)** — per-dimension affine maps ``v ≈ c * scale + offset``
   with ``c`` in int8, trained from per-dimension min/max (or mean/scale).
@@ -144,7 +144,8 @@ class VectorCodec(ABC):
     def adc_scores(
         self, coded: CodedVectors, normalized_query: np.ndarray
     ) -> np.ndarray:
-        """Inner products of one fp query against every coded row.
+        """Inner products of one fp query against every coded row: the
+        batched kernel over a batch of one.
 
         Exactly equals ``decode(coded) @ query`` up to float32 rounding —
         the approximation lives in the codes, not in the kernel.
@@ -155,13 +156,7 @@ class VectorCodec(ABC):
             raise ValidationError(
                 f"adc query dim {query.shape} != codec dim ({self.dim},)"
             )
-        if coded.n == 0:
-            return np.empty(0, dtype=np.float64)
-        return self._adc_scores(coded.codes, query)
-
-    @abstractmethod
-    def _adc_scores(self, codes: np.ndarray, query: np.ndarray) -> np.ndarray:
-        """Codec-specific ADC kernel (validated query, non-empty codes)."""
+        return self.adc_scores_batch(coded, query[None])[:, 0]
 
     def adc_scores_batch(
         self, coded: CodedVectors, normalized_queries: np.ndarray
@@ -177,13 +172,12 @@ class VectorCodec(ABC):
             return np.empty((0, len(queries)), dtype=np.float64)
         return self._adc_scores_batch(coded.codes, queries)
 
+    @abstractmethod
     def _adc_scores_batch(
         self, codes: np.ndarray, queries: np.ndarray
     ) -> np.ndarray:
-        """Default batched kernel: one column per query."""
-        return np.stack(
-            [self._adc_scores(codes, query) for query in queries], axis=1
-        )
+        """Codec-specific ADC kernel (validated ``(q, d)`` queries,
+        non-empty codes); one column per query."""
 
     # -- accounting & state ----------------------------------------------------
 
@@ -203,8 +197,7 @@ class VectorCodec(ABC):
         return 0
 
     def state(self) -> dict[str, object]:
-        """Serializable trained state (arrays stay numpy; see snapshot
-        format-versioning in ``repro.vecserve.snapshot``)."""
+        """Serializable trained state (arrays stay numpy)."""
         self._check_trained("serialize")
         return {"kind": self.kind, **self._state()}
 
@@ -259,9 +252,6 @@ class Fp32Codec(VectorCodec):
 
     def _decode(self, codes: np.ndarray) -> np.ndarray:
         return codes.astype(np.float64)
-
-    def _adc_scores(self, codes: np.ndarray, query: np.ndarray) -> np.ndarray:
-        return (codes @ query.astype(np.float32)).astype(np.float64)
 
     def _adc_scores_batch(
         self, codes: np.ndarray, queries: np.ndarray
@@ -332,20 +322,11 @@ class Int8Codec(VectorCodec):
     def _decode(self, codes: np.ndarray) -> np.ndarray:
         return codes.astype(np.float64) * self._scale + self._offset
 
-    def _adc_scores(self, codes: np.ndarray, query: np.ndarray) -> np.ndarray:
-        # Dequant-free dot: (q*scale).codes + q.offset — the affine map is
-        # applied to the *query* once, never to the n database rows.
-        scaled = (query * self._scale).astype(np.float32)
-        bias = float(query @ self._offset)
-        scores = np.empty(len(codes), dtype=np.float64)
-        for start in range(0, len(codes), _SCAN_CHUNK):
-            block = codes[start : start + _SCAN_CHUNK]
-            scores[start : start + len(block)] = block.astype(np.float32) @ scaled
-        return scores + bias
-
     def _adc_scores_batch(
         self, codes: np.ndarray, queries: np.ndarray
     ) -> np.ndarray:
+        # Dequant-free dot: (q*scale).codes + q.offset — the affine map is
+        # applied to the *queries* once, never to the n database rows.
         scaled = (queries * self._scale).astype(np.float32).T  # (d, q)
         bias = queries @ self._offset  # (q,)
         scores = np.empty((len(codes), len(queries)), dtype=np.float64)
@@ -504,12 +485,16 @@ class PQCodec(VectorCodec):
             np.float64
         )
 
-    def _adc_scores(self, codes: np.ndarray, query: np.ndarray) -> np.ndarray:
-        lut = self._lut(query)
-        m = codes.shape[1]
-        # Gather each row's m table entries and sum: the PQ scan is m
-        # byte-indexed lookups per row — no d-wide arithmetic at all.
-        return lut[np.arange(m), codes].sum(axis=1)
+    def _adc_scores_batch(
+        self, codes: np.ndarray, queries: np.ndarray
+    ) -> np.ndarray:
+        subspaces = np.arange(codes.shape[1])
+        scores = np.empty((len(codes), len(queries)), dtype=np.float64)
+        for column, query in enumerate(queries):
+            # Gather each row's m table entries and sum: the PQ scan is m
+            # byte-indexed lookups per row — no d-wide arithmetic at all.
+            scores[:, column] = self._lut(query)[subspaces, codes].sum(axis=1)
+        return scores
 
     @property
     def dim(self) -> int:

@@ -58,6 +58,7 @@ Routes (all under ``/v1``):
 
 from __future__ import annotations
 
+import math
 import signal
 import threading
 import time
@@ -140,6 +141,23 @@ class ServerConfig:
                 f"worker_threads must be >= 1 ({self.worker_threads=})"
             )
         self.admission.validate()
+
+
+def _is_int(value) -> bool:
+    """A JSON integer (Python parses ``true``/``false`` as ints too)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; bools, strings, lists and nulls are
+    rejected. An integer too large for a float becomes ``±inf``, so the
+    caller's finiteness check sees it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a JSON number ({value!r})")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 class _Exchange:
@@ -620,12 +638,14 @@ class FeatureServer(Service):
                 "PUT /v1/features/{ns}/{id} body needs a 'values' object"
             )
         entity_id = self._parse_entity_id(raw_id)
-        event_time = body.get("event_time")
+        raw_time = body.get("event_time")
+        event_time = (
+            time.time() if raw_time is None else _number(raw_time, "'event_time'")
+        )
+        if not math.isfinite(event_time):
+            raise ValidationError(f"'event_time' must be finite ({raw_time!r})")
         self.gateway.write_features(
-            namespace,
-            entity_id,
-            values,
-            event_time=float(event_time) if event_time is not None else time.time(),
+            namespace, entity_id, values, event_time=event_time
         )
         return self._respond(
             exchange, 200, {"namespace": namespace, "entity_id": entity_id, "written": True}
@@ -641,13 +661,19 @@ class FeatureServer(Service):
                 "POST /v1/vectors/{name}/search body needs a non-empty "
                 "'query' list"
             )
-        k = int(body.get("k", 10))
+        k = body.get("k", 10)
+        if not _is_int(k):
+            raise ValidationError(f"'k' must be an integer ({k!r})")
         version = body.get("version")
+        if version is not None and not _is_int(version):
+            raise ValidationError(
+                f"'version' must be an integer or null ({version!r})"
+            )
         result = self.gateway.search_neighbors(
             name,
-            [float(v) for v in query_vector],
+            [_number(v, "'query' element") for v in query_vector],
             k=k,
-            version=int(version) if version is not None else None,
+            version=version,
             deadline_s=max(deadline.remaining(), 0.0),
         )
         return self._respond(

@@ -17,9 +17,6 @@ fan-out. This module is the single home:
 * :class:`RetryPolicy` + :func:`retry_call` — bounded retries with
   exponential backoff under a deadline, the gateway's read-path loop as
   a reusable helper.
-
-Old import paths (``repro.serving.faults.FaultPolicy``) keep working via
-deprecation shims.
 """
 
 from __future__ import annotations

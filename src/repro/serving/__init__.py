@@ -25,29 +25,19 @@ from repro.serving.cache import (
     LookupStatus,
     ReadThroughCache,
 )
-from repro.serving.faults import FaultInjectingOnlineStore, FaultPolicy
+from repro.serving.faults import FaultInjectingOnlineStore
 from repro.serving.gateway import EnrichResult, GatewayConfig, ServingGateway
 from repro.serving.loadgen import LoadConfig, LoadReport, run_closed_loop
-from repro.serving.metrics import (
-    Counter,
-    EndpointMetrics,
-    Gauge,
-    LatencyHistogram,
-    ServingMetrics,
-)
+from repro.serving.metrics import EndpointMetrics, ServingMetrics
 
 __all__ = [
     "CacheEntry",
     "CacheStats",
-    "Counter",
     "EndpointMetrics",
     "EnrichResult",
     "FaultInjectingOnlineStore",
-    "FaultPolicy",
     "FreshnessPolicy",
-    "Gauge",
     "GatewayConfig",
-    "LatencyHistogram",
     "LoadConfig",
     "LoadReport",
     "LookupStatus",

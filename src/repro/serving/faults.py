@@ -14,20 +14,15 @@ lacks and the gateway must be engineered against:
   :class:`~repro.errors.TransientStoreError` so the gateway's
   retry/degradation machinery engages.
 
-The policy dataclass and the seeded roll-and-raise engine now live in
+The policy dataclass and the seeded roll-and-raise engine live in
 :mod:`repro.runtime.resilience` (they are shared with the vector plane's
-per-shard injector); ``FaultPolicy`` is re-exported here so existing
-``repro.serving.faults.FaultPolicy`` imports keep working.
+per-shard injector); import :class:`~repro.runtime.FaultPolicy` from
+:mod:`repro.runtime`.
 """
 
 from __future__ import annotations
 
-# Backward-compatible re-export: the canonical home is the runtime layer
-# (import from repro.runtime.resilience in new code).
-from repro.runtime.resilience import (  # noqa: F401 - re-exported shim
-    FaultInjector,
-    FaultPolicy,
-)
+from repro.runtime.resilience import FaultInjector, FaultPolicy
 from repro.storage.online import FreshnessPolicy, OnlineStore
 
 

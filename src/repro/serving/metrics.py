@@ -7,8 +7,8 @@ gateway records per-endpoint latency distributions (p50/p95/p99), request
 and error rates, cache effectiveness and queue pressure.
 
 The thread-safe primitives (:class:`Counter`, :class:`Gauge`,
-:class:`LatencyHistogram`) now live in :mod:`repro.runtime.telemetry`
-and are re-exported here for backward compatibility. Every metric a
+:class:`LatencyHistogram`) live in :mod:`repro.runtime.telemetry`;
+import them from :mod:`repro.runtime`. Every metric a
 :class:`ServingMetrics` facade exposes is allocated through a
 :class:`~repro.runtime.telemetry.MetricsRegistry` — hand the same
 registry to the bus and vector planes and the whole deployment exports
@@ -20,14 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-# Backward-compatible re-exports: the primitives' canonical home is the
-# runtime layer now (import them from repro.runtime.telemetry in new code).
-from repro.runtime.telemetry import (  # noqa: F401 - re-exported shims
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
-)
+from repro.runtime.telemetry import Counter, LatencyHistogram, MetricsRegistry
 
 
 @dataclass

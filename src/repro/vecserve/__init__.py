@@ -6,11 +6,12 @@ plane*, not just a store. ``repro.index`` gives build-once indexes;
 this package turns them into a production-shaped service:
 
 * :mod:`repro.vecserve.shards` — hash-partitioned shards, scatter-gather
-  top-k with deadline-bounded partial degradation;
+  top-k with deadline-bounded partial degradation (one batched read path;
+  a single query is a batch of one);
 * :mod:`repro.vecserve.snapshot` — immutable index generations with
   blue/green atomic swaps (rebuilds never block or fail a query), with
   pluggable coded storage (:mod:`repro.codec` int8/PQ formats scanned
-  through ADC kernels) and format-versioned (de)serialization;
+  through ADC kernels);
 * :mod:`repro.vecserve.delta` — an exact side-buffer absorbing live
   upserts and tombstones, merged at query time, drained by compaction;
 * :mod:`repro.vecserve.service` — the :class:`VectorService` façade:
@@ -38,7 +39,6 @@ from repro.vecserve.shards import (
     shard_for,
 )
 from repro.vecserve.snapshot import (
-    SNAPSHOT_FORMAT_VERSION,
     CodecFactory,
     CompactionStats,
     IndexSnapshot,
@@ -46,14 +46,11 @@ from repro.vecserve.snapshot import (
     build_snapshot,
     compact,
     compose_live,
-    deserialize_snapshot,
     empty_snapshot,
-    serialize_snapshot,
 )
 
 __all__ = [
     "BACKENDS",
-    "SNAPSHOT_FORMAT_VERSION",
     "CodecFactory",
     "CompactionStats",
     "DeltaFreeze",
@@ -71,9 +68,7 @@ __all__ = [
     "compact",
     "compose_live",
     "decode_record",
-    "deserialize_snapshot",
     "empty_snapshot",
-    "serialize_snapshot",
     "merge_topk",
     "shard_for",
     "tombstone_record",

@@ -195,26 +195,12 @@ class DeltaIndex:
             rows = self._matrix[[position for __, position in positions]].copy()
         return found, rows
 
-    def search(self, normalized_query: np.ndarray, k: int) -> SearchResult:
-        """Exact top-k over the buffered rows (external ids)."""
-        if k <= 0:
-            raise ValidationError(f"k must be positive ({k=})")
-        with self._lock:
-            n = len(self._ids)
-            if n == 0:
-                return _EMPTY_RESULT
-            scores = self._matrix[:n] @ normalized_query
-            ids = np.asarray(self._ids, dtype=np.int64)
-        k = min(k, n)
-        top = np.argpartition(-scores, kth=k - 1)[:k]
-        order = np.argsort(-scores[top])
-        keep = top[order]
-        return SearchResult(ids=ids[keep], scores=scores[keep])
-
     def search_batch(
         self, normalized_queries: np.ndarray, k: int
     ) -> list[SearchResult]:
-        """Exact top-k for a whole batch in one vectorized pass."""
+        """Exact top-k over the buffered rows (external ids) for ``(q, d)``
+        normalized queries, in one vectorized pass; a single query is a
+        batch of one."""
         if k <= 0:
             raise ValidationError(f"k must be positive ({k=})")
         with self._lock:

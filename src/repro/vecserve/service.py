@@ -333,6 +333,29 @@ class VectorService(Service):
 
     # -- query path -----------------------------------------------------------
 
+    @staticmethod
+    def _fan_out(
+        table: _ServedTable,
+        queries: np.ndarray,
+        k: int,
+        deadline_s: float | None,
+        batched: bool = True,
+    ) -> list[ShardedSearchResult]:
+        """Scatter-gather ``(q, d)`` queries over one table and offer each
+        answer to its recall monitor. ``batched=False`` answers a single
+        query through ``ShardedVectorIndex.search`` (its validation, and
+        not counted as a batched query)."""
+        if batched:
+            results = table.sharded.search_batch(
+                queries, k, deadline_s=deadline_s
+            )
+        else:
+            results = [table.sharded.search(queries, k, deadline_s=deadline_s)]
+            queries = [queries]
+        for query, result in zip(np.asarray(queries, dtype=float), results):
+            table.recall.maybe_observe(query, result)
+        return results
+
     def _run_batch(
         self,
         group: tuple[str, int, int],
@@ -350,10 +373,7 @@ class VectorService(Service):
         queries = np.stack([query for query, __ in items])
         budgets = [d.remaining() for __, d in items if d is not None]
         deadline_s = max(min(budgets), 1e-4) if budgets else None
-        results = table.sharded.search_batch(queries, k, deadline_s=deadline_s)
-        for query, result in zip(queries, results):
-            table.recall.maybe_observe(query, result)
-        return results
+        return self._fan_out(table, queries, k, deadline_s)
 
     def search(
         self,
@@ -404,8 +424,7 @@ class VectorService(Service):
                     partial=True,
                     shards_missed=table.sharded.n_shards,
                 )
-        result = table.sharded.search(query, k, deadline_s=deadline_s)
-        table.recall.maybe_observe(query, result)
+        (result,) = self._fan_out(table, query, k, deadline_s, batched=False)
         return result
 
     def search_batch(
@@ -418,11 +437,9 @@ class VectorService(Service):
     ) -> list[ShardedSearchResult]:
         """Explicitly batched top-k (one fan-out for the whole batch)."""
         self._check_running("serve queries")
-        table = self._resolve(name, version)
-        results = table.sharded.search_batch(queries, k, deadline_s=deadline_s)
-        for query, result in zip(np.asarray(queries, dtype=float), results):
-            table.recall.maybe_observe(query, result)
-        return results
+        return self._fan_out(
+            self._resolve(name, version), queries, k, deadline_s
+        )
 
     def search_exact(
         self,

@@ -66,12 +66,23 @@ def shard_for(external_id: int, n_shards: int) -> int:
     return zlib.crc32(key) % n_shards
 
 
-def _normalize_query(vector: np.ndarray, dim: int) -> np.ndarray:
+def _as_batch_of_one(vector: np.ndarray, dim: int) -> np.ndarray:
+    """A single ``(dim,)`` query as a ``(1, dim)`` batch."""
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (dim,):
         raise ValidationError(f"query dim {vector.shape} != index dim ({dim},)")
-    norm = np.linalg.norm(vector)
-    return vector / norm if norm > 0 else vector
+    return vector[None]
+
+
+def _normalize_queries(queries: np.ndarray) -> np.ndarray:
+    """L2-normalize ``(q, d)`` query rows. Every read passes through
+    here, so a NaN or infinite query fails closed instead of ranking
+    rows by NaN scores."""
+    if not np.isfinite(queries).all():
+        raise ValidationError("query vectors must be finite")
+    norms = np.linalg.norm(queries, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return queries / norms
 
 
 def merge_topk(parts: list[SearchResult], k: int) -> SearchResult:
@@ -146,27 +157,44 @@ class VectorShard:
 
     # -- read path ------------------------------------------------------------
 
-    def _merged(
-        self, normalized_query: np.ndarray, k: int, exact: bool
-    ) -> SearchResult:
+    def _live_topk(
+        self, normalized_queries: np.ndarray, k: int, exact: bool = False
+    ) -> list[SearchResult]:
+        """Top-k per query over the live set: the sealed scan minus rows
+        the delta masks (tombstoned or re-upserted), merged with the delta
+        (delta wins). The shard's one merge-and-mask routine, read under
+        one consistent snapshot+delta view for the whole batch; ``exact``
+        swaps the sealed scan for the snapshot's exact oracle scan."""
         with self._rw.read_locked():
             snapshot = self.cell.current()
             mask = self.delta.masked_ids()
             fetch = min(k + len(mask), max(snapshot.size, 1))
-            base = (
-                snapshot.search_exact(normalized_query, fetch)
-                if exact
-                else snapshot.search(normalized_query, fetch)
-            )
-            if mask:
-                keep = [
-                    position
-                    for position, external in enumerate(base.ids.tolist())
-                    if external not in mask
+            if exact:
+                base = [
+                    snapshot.search_exact(query, fetch)
+                    for query in normalized_queries
                 ]
-                base = SearchResult(ids=base.ids[keep], scores=base.scores[keep])
-            fresh = self.delta.search(normalized_query, k)
-        return merge_topk([base, fresh], k)
+            else:
+                base = snapshot.search_batch(normalized_queries, fetch)
+            if mask:
+                filtered = []
+                for result in base:
+                    keep = [
+                        position
+                        for position, external in enumerate(result.ids.tolist())
+                        if external not in mask
+                    ]
+                    if len(keep) != len(result.ids):
+                        result = SearchResult(
+                            ids=result.ids[keep], scores=result.scores[keep]
+                        )
+                    filtered.append(result)
+                base = filtered
+            fresh = self.delta.search_batch(normalized_queries, k)
+        return [
+            merge_topk([base_result, fresh_result], k)
+            for base_result, fresh_result in zip(base, fresh)
+        ]
 
     def _rerank(
         self, normalized_query: np.ndarray, candidates: SearchResult, k: int
@@ -192,21 +220,24 @@ class VectorShard:
         order = np.argsort(-scores, kind="stable")[:k]
         return SearchResult(ids=candidates.ids[order], scores=scores[order])
 
-    def query(
-        self, normalized_query: np.ndarray, k: int, oversample: int = 1
-    ) -> SearchResult:
-        """Top-k over the live set: sealed snapshot ∪ delta, delta wins.
+    def query_batch(
+        self, normalized_queries: np.ndarray, k: int, oversample: int = 1
+    ) -> list[SearchResult]:
+        """Top-k per query over the live set: sealed snapshot ∪ delta,
+        delta wins, scored through the vectorized index paths (one
+        GIL-releasing matmul instead of q serialized scans).
 
         ``oversample > 1`` (with an oracle reserve) fetches ``k *
         oversample`` ADC candidates and exact-re-ranks them down to k —
         the standard recovery for quantization-induced rank inversions.
         """
         if oversample > 1 and self.oracle is not None:
-            candidates = self._merged(
-                normalized_query, k * oversample, exact=False
-            )
-            return self._rerank(normalized_query, candidates, k)
-        return self._merged(normalized_query, k, exact=False)
+            candidates = self._live_topk(normalized_queries, k * oversample)
+            return [
+                self._rerank(query, candidate, k)
+                for query, candidate in zip(normalized_queries, candidates)
+            ]
+        return self._live_topk(normalized_queries, k)
 
     def query_exact(self, normalized_query: np.ndarray, k: int) -> SearchResult:
         """Exact top-k over the same live set (the recall oracle path).
@@ -217,46 +248,8 @@ class VectorShard:
         which measures scan correctness but not quantization loss.
         """
         if self.oracle is not None:
-            return self.oracle.search(normalized_query, k)
-        return self._merged(normalized_query, k, exact=True)
-
-    def query_batch(
-        self, normalized_queries: np.ndarray, k: int, oversample: int = 1
-    ) -> list[SearchResult]:
-        """Batched top-k over the live set: one consistent snapshot+delta
-        view for the whole batch, scored through the vectorized index
-        paths (one GIL-releasing matmul instead of q serialized scans)."""
-        fetch_k = k * oversample if (oversample > 1 and self.oracle is not None) else k
-        with self._rw.read_locked():
-            snapshot = self.cell.current()
-            mask = self.delta.masked_ids()
-            fetch = min(fetch_k + len(mask), max(snapshot.size, 1))
-            base = snapshot.search_batch(normalized_queries, fetch)
-            if mask:
-                filtered = []
-                for result in base:
-                    keep = [
-                        position
-                        for position, external in enumerate(result.ids.tolist())
-                        if external not in mask
-                    ]
-                    if len(keep) != len(result.ids):
-                        result = SearchResult(
-                            ids=result.ids[keep], scores=result.scores[keep]
-                        )
-                    filtered.append(result)
-                base = filtered
-            fresh = self.delta.search_batch(normalized_queries, fetch_k)
-        merged = [
-            merge_topk([base_result, fresh_result], fetch_k)
-            for base_result, fresh_result in zip(base, fresh)
-        ]
-        if fetch_k == k:
-            return merged
-        return [
-            self._rerank(query, candidates, k)
-            for query, candidates in zip(normalized_queries, merged)
-        ]
+            return self.oracle.search_batch(normalized_query[None], k)[0]
+        return self._live_topk(normalized_query[None], k, exact=True)[0]
 
     # -- maintenance ----------------------------------------------------------
 
@@ -474,19 +467,6 @@ class ShardedVectorIndex:
         if self._fault is not None:
             self._fault.inject(n_keys=1)
 
-    def _shard_query(
-        self, shard: VectorShard, normalized_query: np.ndarray, k: int
-    ) -> SearchResult:
-        start = time.monotonic()
-        self._inject_fault()
-        result = shard.query(
-            normalized_query, k, oversample=self.rerank_oversample
-        )
-        self.metrics.shard_latency(shard.shard_id).record(
-            time.monotonic() - start
-        )
-        return result
-
     def _shard_query_batch(
         self, shard: VectorShard, queries: np.ndarray, k: int
     ) -> list[SearchResult]:
@@ -500,76 +480,26 @@ class ShardedVectorIndex:
         )
         return results
 
-    def search(
-        self,
-        query: np.ndarray,
-        k: int = 10,
-        deadline_s: float | None = None,
-    ) -> ShardedSearchResult:
-        """Scatter-gather top-k with deadline-bounded partial degradation."""
-        if k <= 0:
-            raise ValidationError(f"k must be positive ({k=})")
-        normalized = _normalize_query(query, self.dim)
-        deadline = deadline_s if deadline_s is not None else self.default_deadline_s
-        start = time.monotonic()
-        futures = {
-            self._executor.submit(self._shard_query, shard, normalized, k): shard
-            for shard in self.shards
-        }
-        done, not_done = wait(futures, timeout=deadline)
-        parts: list[SearchResult] = []
-        missed = len(not_done)
-        for future in done:
-            try:
-                parts.append(future.result())
-            except TransientStoreError:
-                self.metrics.shard_errors.inc()
-                missed += 1
-        for future in not_done:
-            future.cancel()  # best effort; a running scan finishes unharvested
-        merged = merge_topk(parts, k)
-        elapsed = time.monotonic() - start
-        self.metrics.record_query(elapsed, partial=missed > 0, missed=missed)
-        return ShardedSearchResult(
-            ids=merged.ids,
-            scores=merged.scores,
-            partial=missed > 0,
-            shards_missed=missed,
-        )
-
-    def search_batch(
-        self,
-        queries: np.ndarray,
-        k: int = 10,
-        deadline_s: float | None = None,
+    def _scatter_gather(
+        self, queries: np.ndarray, k: int, deadline_s: float | None
     ) -> list[ShardedSearchResult]:
-        """Micro-batched scatter-gather: one fan-out for many queries.
+        """The one fan-out: every shard answers the whole ``(q, d)`` batch.
 
-        The per-shard task answers *every* query in the batch, so the
-        scatter overhead (task submission, lock acquisition, future
-        bookkeeping) is paid once per shard instead of once per
-        shard×query. A shard missing the deadline marks the whole batch
-        partial — the same all-or-nothing grouping the feature
+        The scatter overhead (task submission, lock acquisition, future
+        bookkeeping) is paid once per shard, not once per shard×query. A
+        shard missing the deadline (or raising) is left out and marks the
+        whole batch partial — the same all-or-nothing grouping the feature
         micro-batcher exhibits.
         """
         if k <= 0:
             raise ValidationError(f"k must be positive ({k=})")
-        queries = np.asarray(queries, dtype=float)
-        if queries.ndim != 2 or queries.shape[1] != self.dim:
-            raise ValidationError(
-                f"search_batch expects (q, {self.dim}) queries, got {queries.shape}"
-            )
-        norms = np.linalg.norm(queries, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        normalized = queries / norms
+        normalized = _normalize_queries(queries)
         deadline = deadline_s if deadline_s is not None else self.default_deadline_s
         start = time.monotonic()
-        futures = {
-            self._executor.submit(
-                self._shard_query_batch, shard, normalized, k
-            ): shard
+        futures = [
+            self._executor.submit(self._shard_query_batch, shard, normalized, k)
             for shard in self.shards
-        }
+        ]
         done, not_done = wait(futures, timeout=deadline)
         per_shard: list[list[SearchResult]] = []
         missed = len(not_done)
@@ -580,13 +510,10 @@ class ShardedVectorIndex:
                 self.metrics.shard_errors.inc()
                 missed += 1
         for future in not_done:
-            future.cancel()
-        elapsed = time.monotonic() - start
-        out: list[ShardedSearchResult] = []
+            future.cancel()  # best effort; a running scan finishes unharvested
+        out = []
         for position in range(len(normalized)):
-            merged = merge_topk(
-                [results[position] for results in per_shard], k
-            )
+            merged = merge_topk([results[position] for results in per_shard], k)
             out.append(
                 ShardedSearchResult(
                     ids=merged.ids,
@@ -595,14 +522,43 @@ class ShardedVectorIndex:
                     shards_missed=missed,
                 )
             )
-        self.metrics.batched_queries.inc(len(normalized))
+        elapsed = time.monotonic() - start
         self.metrics.record_query(elapsed, partial=missed > 0, missed=missed)
         return out
+
+    def search(
+        self,
+        query: np.ndarray,
+        k: int = 10,
+        deadline_s: float | None = None,
+    ) -> ShardedSearchResult:
+        """Scatter-gather top-k with deadline-bounded partial degradation:
+        a batch of one through the same fan-out as :meth:`search_batch`."""
+        (result,) = self._scatter_gather(
+            _as_batch_of_one(query, self.dim), k, deadline_s
+        )
+        return result
+
+    def search_batch(
+        self,
+        queries: np.ndarray,
+        k: int = 10,
+        deadline_s: float | None = None,
+    ) -> list[ShardedSearchResult]:
+        """Micro-batched scatter-gather: one fan-out for many queries."""
+        queries = np.asarray(queries, dtype=float)
+        if queries.ndim != 2 or queries.shape[1] != self.dim:
+            raise ValidationError(
+                f"search_batch expects (q, {self.dim}) queries, got {queries.shape}"
+            )
+        results = self._scatter_gather(queries, k, deadline_s)
+        self.metrics.batched_queries.inc(len(queries))
+        return results
 
     def search_exact(self, query: np.ndarray, k: int = 10) -> SearchResult:
         """Exact top-k over the live set (sequential full scans; the
         recall oracle — deliberately outside the deadline machinery)."""
-        normalized = _normalize_query(query, self.dim)
+        (normalized,) = _normalize_queries(_as_batch_of_one(query, self.dim))
         parts = [shard.query_exact(normalized, k) for shard in self.shards]
         return merge_topk(parts, k)
 

@@ -11,6 +11,11 @@ reference atomically and releases the folded delta entries. A query that
 started before the swap finishes on the old generation; one that starts
 after sees the new one; none ever blocks or fails because a rebuild is
 in flight.
+
+Reads are batched: :meth:`IndexSnapshot.search_batch` answers ``(q, d)``
+queries through the backend's ``query_batch`` or the codec's batched ADC
+kernel, and a single query is a batch of one. Only the exact oracle scan
+(:meth:`IndexSnapshot.search_exact`) takes one query at a time.
 """
 
 from __future__ import annotations
@@ -22,15 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.codec import (
-    CodedVectors,
-    VectorCodec,
-    adc_topk,
-    adc_topk_batch,
-    codec_from_state,
-    codec_to_state,
-    make_codec,
-)
+from repro.codec import CodedVectors, VectorCodec, adc_topk_batch, make_codec
 from repro.errors import ValidationError
 from repro.index.base import SearchResult, VectorIndex, _normalize_rows
 from repro.vecserve.delta import DeltaFreeze, DeltaIndex
@@ -41,11 +38,6 @@ IndexFactory = Callable[[], VectorIndex]
 #: float64 storage). Mirrors ``IndexFactory``: the builder trains/encodes
 #: a new instance per snapshot so generations never share mutable state.
 CodecFactory = Callable[[], VectorCodec]
-
-#: Current coded-snapshot payload layout. Version 2 introduced pluggable
-#: coded storage ("raw" float64 vs codec-compressed codes); version 1 was
-#: the implicit pre-codec pickle layout, which is no longer readable.
-SNAPSHOT_FORMAT_VERSION = 2
 
 _EMPTY_RESULT = SearchResult(
     ids=np.empty(0, dtype=np.int64), scores=np.empty(0, dtype=float)
@@ -108,24 +100,12 @@ class IndexSnapshot:
             return self.codec.decode(self.coded)
         return None if self.index is None else self.index.matrix
 
-    def search(self, normalized_query: np.ndarray, k: int) -> SearchResult:
-        """Top-k over the sealed generation, in external ids."""
-        if self.size == 0:
-            return _EMPTY_RESULT
-        if self.coded is not None and self.codec is not None:
-            positions, scores = adc_topk(
-                self.codec, self.coded, normalized_query, min(k, self.size)
-            )
-            return SearchResult(ids=self.ids[positions], scores=scores)
-        if self.index is None:
-            return _EMPTY_RESULT
-        result = self.index.query(normalized_query, min(k, self.size))
-        return SearchResult(ids=self.ids[result.ids], scores=result.scores)
-
     def search_batch(
         self, normalized_queries: np.ndarray, k: int
     ) -> list[SearchResult]:
-        """Batched top-k over the sealed generation, in external ids.
+        """Top-k over the sealed generation for ``(q, d)`` normalized
+        queries, in external ids — the snapshot's only approximate read;
+        a single query is a batch of one.
 
         Delegates to the index's vectorized batch path (exact indexes
         score the whole batch in one matmul) or the codec's batched ADC
@@ -163,7 +143,7 @@ class IndexSnapshot:
         (see ``keep_oracle`` in :mod:`repro.vecserve.shards`).
         """
         if self.coded is not None and self.codec is not None:
-            return self.search(normalized_query, k)
+            return self.search_batch(normalized_query[None], k)[0]
         matrix = self.vectors
         if matrix is None or self.size == 0:
             return _EMPTY_RESULT
@@ -353,97 +333,3 @@ def compact(
         codec_kind=snapshot.codec_kind,
     )
 
-
-# -- serialization --------------------------------------------------------------
-
-
-def serialize_snapshot(snapshot: IndexSnapshot) -> dict[str, object]:
-    """Sealed generation → a plain, format-versioned payload dict.
-
-    The payload is pickle/npz-friendly (numpy arrays + scalars only) and
-    self-describing: ``format_version`` plus a ``storage`` tag of
-    ``"raw"`` (float64 matrix; the backend index is rebuilt on load) or
-    ``"coded"`` (codes + trained codec state; no index to rebuild).
-    """
-    payload: dict[str, object] = {
-        "format_version": SNAPSHOT_FORMAT_VERSION,
-        "generation": snapshot.generation,
-        "ids": snapshot.ids.copy(),
-        "created_at": snapshot.created_at,
-        "build_seconds": snapshot.build_seconds,
-    }
-    if snapshot.coded is not None and snapshot.codec is not None:
-        payload["storage"] = "coded"
-        payload["codes"] = snapshot.coded.codes.copy()
-        payload["dim"] = snapshot.coded.dim
-        payload["codec"] = codec_to_state(snapshot.codec)
-    else:
-        payload["storage"] = "raw"
-        matrix = snapshot.vectors
-        payload["vectors"] = None if matrix is None else matrix.copy()
-    return payload
-
-
-def deserialize_snapshot(
-    payload: dict[str, object], factory: IndexFactory | None = None
-) -> IndexSnapshot:
-    """Payload dict → sealed generation, validating the format version.
-
-    An unknown (or missing) ``format_version`` raises a
-    :class:`~repro.errors.ValidationError` naming the supported version —
-    the explicit failure mode that lets coded formats evolve without old
-    readers exploding obscurely mid-query. ``factory`` is required only
-    for non-empty ``"raw"`` payloads (the index is rebuilt on load).
-    """
-    version = payload.get("format_version")
-    if version != SNAPSHOT_FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported snapshot format_version {version!r}; this build "
-            f"reads version {SNAPSHOT_FORMAT_VERSION} (re-seal the table "
-            f"with compact() to migrate)"
-        )
-    storage = payload.get("storage")
-    generation = int(payload["generation"])  # type: ignore[arg-type]
-    ids = np.asarray(payload["ids"], dtype=np.int64)
-    created_at = float(payload["created_at"])  # type: ignore[arg-type]
-    build_seconds = float(payload.get("build_seconds", 0.0))  # type: ignore[arg-type]
-    if storage == "coded":
-        codec = codec_from_state(payload["codec"])  # type: ignore[arg-type]
-        coded = CodedVectors(
-            kind=codec.kind,
-            codes=np.asarray(payload["codes"]),
-            dim=int(payload["dim"]),  # type: ignore[arg-type]
-        )
-        if coded.n != len(ids):
-            raise ValidationError(
-                f"snapshot payload has {coded.n} coded rows for {len(ids)} ids"
-            )
-        return IndexSnapshot(
-            generation=generation,
-            index=None,
-            ids=ids,
-            created_at=created_at,
-            build_seconds=build_seconds,
-            codec=codec,
-            coded=coded,
-        )
-    if storage == "raw":
-        vectors = payload.get("vectors")
-        if vectors is None or len(ids) == 0:
-            return empty_snapshot(generation)
-        if factory is None:
-            raise ValidationError(
-                "raw snapshot payloads need an IndexFactory to rebuild the "
-                "backend index"
-            )
-        rebuilt = build_snapshot(ids, np.asarray(vectors), factory, generation)
-        return IndexSnapshot(
-            generation=generation,
-            index=rebuilt.index,
-            ids=rebuilt.ids,
-            created_at=created_at,
-            build_seconds=build_seconds,
-        )
-    raise ValidationError(
-        f"unknown snapshot storage {storage!r}; expected 'raw' or 'coded'"
-    )

@@ -17,10 +17,9 @@ import pytest
 from repro.net import ClientConfig, FeatureClient, FeatureServer, ServerConfig
 from repro.errors import ReproError
 from repro.net.protocol import OverloadedError
-from repro.runtime import RetryPolicy, ServiceGroup, await_condition
+from repro.runtime import FaultPolicy, RetryPolicy, ServiceGroup, await_condition
 from repro.runtime.lifecycle import LifecycleError, ServiceState
 from repro.serving import FaultInjectingOnlineStore, ServingGateway
-from repro.serving.faults import FaultPolicy
 from repro.storage.online import OnlineStore
 
 

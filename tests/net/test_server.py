@@ -32,9 +32,8 @@ from repro.net import (
     ServerConfig,
     ThrottledError,
 )
-from repro.runtime import RetryPolicy, await_condition
+from repro.runtime import FaultPolicy, RetryPolicy, await_condition
 from repro.serving import FaultInjectingOnlineStore, ServingGateway
-from repro.serving.faults import FaultPolicy
 from repro.storage.online import OnlineStore
 from repro.vecserve import VectorService
 
@@ -131,6 +130,84 @@ class TestVectorRoute:
         with _client(server) as client:
             with pytest.raises(ValidationError):
                 client.search_vectors("emb", [0.0] * 8)
+
+
+_ZEROS7 = ", 0.0" * 7
+
+
+class TestHostileNumbers:
+    """Bodies whose numbers are not finite JSON numbers of the right type
+    fail closed with 400 ``invalid_argument`` instead of a 500 or a 200
+    carrying NaN scores (which is not RFC 8259 JSON)."""
+
+    @staticmethod
+    def _send(server, method, path, body: bytes):
+        conn = http.client.HTTPConnection(*server.address, timeout=5)
+        try:
+            conn.request(method, path, body=body)
+            response = conn.getresponse()
+            return response.status, json.loads(response.read() or b"{}")
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"query": [NaN' + _ZEROS7 + "]}",
+            '{"query": ["inf"' + _ZEROS7 + "]}",
+            '{"query": [1e400' + _ZEROS7 + "]}",
+            '{"query": [-1e400' + _ZEROS7 + "]}",
+            '{"query": [true' + _ZEROS7 + "]}",
+            '{"query": [[0.5]' + _ZEROS7 + "]}",
+            '{"query": [1.0' + _ZEROS7 + '], "k": "abc"}',
+            '{"query": [1.0' + _ZEROS7 + '], "k": null}',
+            '{"query": [1.0' + _ZEROS7 + '], "k": 2.5}',
+            '{"query": [1.0' + _ZEROS7 + '], "k": true}',
+            '{"query": [1.0' + _ZEROS7 + '], "version": "x"}',
+            '{"query": [1.0' + _ZEROS7 + '], "version": 1.5}',
+        ],
+        ids=[
+            "nan",
+            "inf-string",
+            "overflow",
+            "negative-overflow",
+            "bool-element",
+            "nested-element",
+            "k-string",
+            "k-null",
+            "k-float",
+            "k-bool",
+            "version-string",
+            "version-float",
+        ],
+    )
+    def test_vector_search_rejects(self, stack, body):
+        __, gateway, server = stack
+        rng = np.random.default_rng(3)
+        with VectorService(n_workers=2) as vectors_service:
+            vectors_service.serve_matrix(
+                "emb", 1, np.arange(40, dtype=np.int64), rng.normal(size=(40, 8)),
+                backend="brute", n_shards=2, sample_rate=0.0,
+            )
+            gateway.vectors = vectors_service
+            status, payload = self._send(
+                server, "POST", "/v1/vectors/emb/search", body.encode()
+            )
+        assert status == 400, payload
+        assert payload["error"]["code"] == "invalid_argument"
+
+    @pytest.mark.parametrize(
+        "event_time", ['"nan"', '"abc"', "NaN", "1e400", "true", "[1.0]"]
+    )
+    def test_write_rejects_event_time(self, stack, event_time):
+        store, __, server = stack
+        body = '{"values": {"score": 1.0}, "event_time": ' + event_time + "}"
+        status, payload = self._send(
+            server, "PUT", "/v1/features/profile/3", body.encode()
+        )
+        assert status == 400, payload
+        assert payload["error"]["code"] == "invalid_argument"
+        assert store.read("profile", 3)["score"] == 1.5
 
 
 class TestProtocolEdges:

@@ -6,7 +6,8 @@ import pytest
 
 from repro.clock import SimClock
 from repro.errors import TransientStoreError, ValidationError
-from repro.serving.faults import FaultInjectingOnlineStore, FaultPolicy
+from repro.runtime import FaultPolicy
+from repro.serving.faults import FaultInjectingOnlineStore
 from repro.storage.online import OnlineStore
 
 

@@ -15,9 +15,9 @@ from repro.errors import (
     TransientStoreError,
     ValidationError,
 )
+from repro.runtime import FaultPolicy
 from repro.serving import (
     FaultInjectingOnlineStore,
-    FaultPolicy,
     GatewayConfig,
     ServingGateway,
 )

@@ -5,12 +5,8 @@ import threading
 import pytest
 
 from repro.errors import ValidationError
-from repro.serving.metrics import (
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    ServingMetrics,
-)
+from repro.runtime import Counter, Gauge, LatencyHistogram
+from repro.serving.metrics import ServingMetrics
 
 
 class TestCounter:

@@ -1,4 +1,4 @@
-"""Tests for coded snapshot storage, serialization, and live re-encode."""
+"""Tests for coded snapshot storage and live re-encode."""
 
 import threading
 
@@ -10,15 +10,7 @@ from repro.errors import ValidationError
 from repro.index import BruteForceIndex
 from repro.vecserve.delta import DeltaIndex
 from repro.vecserve.shards import ShardedVectorIndex
-from repro.vecserve.snapshot import (
-    SNAPSHOT_FORMAT_VERSION,
-    SnapshotCell,
-    build_snapshot,
-    compact,
-    deserialize_snapshot,
-    empty_snapshot,
-    serialize_snapshot,
-)
+from repro.vecserve.snapshot import SnapshotCell, build_snapshot, compact
 
 
 def _matrix(n, dim=8, seed=0):
@@ -40,7 +32,7 @@ class TestCodedSnapshot:
         )
         assert snapshot.codec_kind == "int8"
         query = _normalize(vectors[7])
-        assert snapshot.search(query, k=1).ids[0] == 507
+        assert snapshot.search_batch(query[None], k=1)[0].ids[0] == 507
         assert snapshot.search_exact(query, k=1).ids[0] == 507
 
     def test_codec_factory_callable_accepted(self):
@@ -85,64 +77,7 @@ class TestCodedSnapshot:
         assert stats.codec_kind == "pq"
         assert cell.current().codec_kind == "pq"
         query = _normalize(vectors[3])
-        assert 3 in cell.current().search(query, k=5).ids
-
-
-class TestSnapshotSerialization:
-    def test_raw_roundtrip(self):
-        vectors = _matrix(12)
-        ids = np.arange(12, dtype=np.int64)
-        snapshot = build_snapshot(ids, vectors, BruteForceIndex, generation=4)
-        payload = serialize_snapshot(snapshot)
-        assert payload["format_version"] == SNAPSHOT_FORMAT_VERSION
-        assert payload["storage"] == "raw"
-        restored = deserialize_snapshot(payload, factory=BruteForceIndex)
-        assert restored.generation == 4
-        query = _normalize(vectors[5])
-        assert restored.search(query, k=1).ids[0] == 5
-
-    def test_coded_roundtrip_preserves_codes(self):
-        vectors = _matrix(25)
-        ids = np.arange(25, dtype=np.int64)
-        snapshot = build_snapshot(
-            ids, vectors, BruteForceIndex, generation=2, codec="pq"
-        )
-        payload = serialize_snapshot(snapshot)
-        assert payload["storage"] == "coded"
-        restored = deserialize_snapshot(payload)
-        assert restored.codec_kind == "pq"
-        assert np.array_equal(restored.coded.codes, snapshot.coded.codes)
-        query = _normalize(vectors[9])
-        assert np.array_equal(
-            restored.search(query, k=5).ids, snapshot.search(query, k=5).ids
-        )
-
-    def test_unknown_format_version_rejected(self):
-        payload = serialize_snapshot(empty_snapshot())
-        payload["format_version"] = 99
-        with pytest.raises(ValidationError, match="format_version"):
-            deserialize_snapshot(payload)
-
-    def test_missing_format_version_rejected(self):
-        payload = serialize_snapshot(empty_snapshot())
-        del payload["format_version"]
-        with pytest.raises(ValidationError, match="format_version"):
-            deserialize_snapshot(payload)
-
-    def test_raw_payload_requires_factory(self):
-        vectors = _matrix(5)
-        ids = np.arange(5, dtype=np.int64)
-        payload = serialize_snapshot(
-            build_snapshot(ids, vectors, BruteForceIndex, generation=1)
-        )
-        with pytest.raises(ValidationError, match="IndexFactory"):
-            deserialize_snapshot(payload)
-
-    def test_unknown_storage_rejected(self):
-        payload = serialize_snapshot(empty_snapshot())
-        payload["storage"] = "mystery"
-        with pytest.raises(ValidationError, match="storage"):
-            deserialize_snapshot(payload)
+        assert 3 in cell.current().search_batch(query[None], k=5)[0].ids
 
 
 class TestShardedCodedIndex:

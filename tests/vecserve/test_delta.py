@@ -22,7 +22,7 @@ class TestMutation:
         vectors = _vecs(3)
         delta.upsert(_ids(100, 200, 300), vectors)
         query = vectors[1] / np.linalg.norm(vectors[1])
-        result = delta.search(query, k=1)
+        result = delta.search_batch(query[None], k=1)[0]
         assert result.ids[0] == 200
         assert delta.size == 3
 
@@ -32,7 +32,7 @@ class TestMutation:
         replacement = np.asarray([[1.0, 0.0, 0.0, 0.0]])
         delta.upsert(_ids(7), replacement)
         assert delta.size == 1  # overwrite, not append
-        result = delta.search(np.asarray([1.0, 0.0, 0.0, 0.0]), k=1)
+        result = delta.search_batch(np.asarray([[1.0, 0.0, 0.0, 0.0]]), k=1)[0]
         assert result.ids[0] == 7
         assert result.scores[0] == pytest.approx(1.0)
 
@@ -68,7 +68,7 @@ class TestMutation:
         delta.upsert(np.arange(n, dtype=np.int64), vectors)
         assert delta.size == n
         query = vectors[77] / np.linalg.norm(vectors[77])
-        assert delta.search(query, k=1).ids[0] == 77
+        assert delta.search_batch(query[None], k=1)[0].ids[0] == 77
 
     def test_swap_remove_keeps_matrix_consistent(self):
         delta = DeltaIndex(dim=4)
@@ -77,7 +77,7 @@ class TestMutation:
         delta.remove(_ids(0))  # row 0 replaced by the last row
         for i in range(1, 5):
             query = vectors[i] / np.linalg.norm(vectors[i])
-            assert delta.search(query, k=1).ids[0] == i
+            assert delta.search_batch(query[None], k=1)[0].ids[0] == i
 
     def test_validation(self):
         delta = DeltaIndex(dim=4)
@@ -88,7 +88,7 @@ class TestMutation:
         with pytest.raises(ValidationError):
             delta.upsert(_ids(1, 2), _vecs(1))
         with pytest.raises(ValidationError):
-            delta.search(np.zeros(4), k=0)
+            delta.search_batch(np.zeros((1, 4)), k=0)
 
 
 class TestFreezeRelease:
@@ -115,7 +115,7 @@ class TestFreezeRelease:
         delta.release(freeze)
         assert delta.size == 1  # id 1's newer write survived
         query = racing[0] / np.linalg.norm(racing[0])
-        assert delta.search(query, k=1).ids[0] == 1
+        assert delta.search_batch(query[None], k=1)[0].ids[0] == 1
 
     def test_remove_racing_build_survives_release(self):
         delta = DeltaIndex(dim=4)

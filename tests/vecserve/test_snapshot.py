@@ -28,7 +28,7 @@ class TestSnapshot:
         ids = np.arange(100, 110, dtype=np.int64)
         snapshot = build_snapshot(ids, vectors, BruteForceIndex, generation=1)
         query = vectors[4] / np.linalg.norm(vectors[4])
-        assert snapshot.search(query, k=1).ids[0] == 104
+        assert snapshot.search_batch(query[None], k=1)[0].ids[0] == 104
         assert snapshot.search_exact(query, k=1).ids[0] == 104
         assert snapshot.generation == 1
         assert snapshot.size == 10
@@ -37,7 +37,7 @@ class TestSnapshot:
     def test_empty_snapshot_returns_empty(self):
         snapshot = empty_snapshot()
         assert snapshot.size == 0
-        assert len(snapshot.search(np.zeros(4), k=5)) == 0
+        assert len(snapshot.search_batch(np.zeros((1, 4)), k=5)[0]) == 0
         assert len(snapshot.search_exact(np.zeros(4), k=5)) == 0
 
     def test_duplicate_ids_rejected(self):
@@ -117,7 +117,7 @@ class TestCompact:
         assert cell.current().size == 9  # 8 - 1 tombstone + 2 fresh
         assert delta.size == 0 and delta.tombstone_count == 0
         query = fresh[0] / np.linalg.norm(fresh[0])
-        assert cell.current().search(query, k=1).ids[0] == 100
+        assert cell.current().search_batch(query[None], k=1)[0].ids[0] == 100
 
     def test_compact_to_empty(self):
         vectors = _matrix(2)
@@ -146,7 +146,7 @@ class TestCompact:
             query = vectors[5] / np.linalg.norm(vectors[5])
             while not stop.is_set():
                 try:
-                    result = cell.current().search(query, k=5)
+                    result = cell.current().search_batch(query[None], k=5)[0]
                     assert len(result) == 5
                 except BaseException as exc:  # noqa: BLE001
                     failures.append(exc)

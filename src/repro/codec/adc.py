@@ -5,9 +5,10 @@ query. They stay deliberately dumb: score every coded row with the
 codec's asymmetric kernel, partial-sort, return *row positions* and
 scores. Each codec has one kernel, the batched
 ``VectorCodec._adc_scores_batch``; a single query (``adc_scores``,
-``adc_topk``) is a batch of one through it. Id mapping, delta merging, masking and re-ranking all belong to
-the caller — keeping this module importable from anywhere in the DAG
-(it depends only on :mod:`repro.codec.codecs` and numpy).
+``adc_topk``) is a batch of one through it. Id mapping, delta merging,
+masking and re-ranking all belong to the caller — keeping this module
+importable from anywhere in the DAG (it depends only on
+:mod:`repro.codec.codecs` and numpy).
 
 "Exact" here means exact **with respect to the codes**: ``adc_topk``
 returns the true top-k of ``decode(coded) @ query``. Any recall loss a

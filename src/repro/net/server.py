@@ -157,7 +157,7 @@ def _number(value, what: str) -> float:
     try:
         return float(value)
     except OverflowError:
-        return math.copysign(math.inf, value)
+        return math.inf if value > 0 else -math.inf
 
 
 class _Exchange:

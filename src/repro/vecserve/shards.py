@@ -14,6 +14,12 @@ reads, see :mod:`repro.vecserve.snapshot`) with a live
 lock makes the snapshot+delta *merge view* consistent — a reader never
 sees a swap or an upsert halfway through.
 
+There is one read path, and a single query is a batch of one:
+:meth:`ShardedVectorIndex.search` and ``search_batch`` share one
+scatter-gather (``_scatter_gather``), and :meth:`VectorShard._live_topk`
+is the one routine that scans the sealed snapshot, masks tombstoned or
+re-upserted rows, and merges the delta through :func:`merge_topk`.
+
 Scatter-gather degrades instead of failing: a per-query deadline bounds
 the gather, shards that miss it (or raise — the per-shard
 :class:`~repro.runtime.resilience.FaultInjector` rehearses exactly that)
@@ -496,10 +502,12 @@ class ShardedVectorIndex:
         normalized = _normalize_queries(queries)
         deadline = deadline_s if deadline_s is not None else self.default_deadline_s
         start = time.monotonic()
-        futures = [
-            self._executor.submit(self._shard_query_batch, shard, normalized, k)
+        futures = {
+            self._executor.submit(
+                self._shard_query_batch, shard, normalized, k
+            ): shard
             for shard in self.shards
-        ]
+        }
         done, not_done = wait(futures, timeout=deadline)
         per_shard: list[list[SearchResult]] = []
         missed = len(not_done)
@@ -511,9 +519,12 @@ class ShardedVectorIndex:
                 missed += 1
         for future in not_done:
             future.cancel()  # best effort; a running scan finishes unharvested
-        out = []
+        elapsed = time.monotonic() - start
+        out: list[ShardedSearchResult] = []
         for position in range(len(normalized)):
-            merged = merge_topk([results[position] for results in per_shard], k)
+            merged = merge_topk(
+                [results[position] for results in per_shard], k
+            )
             out.append(
                 ShardedSearchResult(
                     ids=merged.ids,
@@ -522,7 +533,6 @@ class ShardedVectorIndex:
                     shards_missed=missed,
                 )
             )
-        elapsed = time.monotonic() - start
         self.metrics.record_query(elapsed, partial=missed > 0, missed=missed)
         return out
 

@@ -157,6 +157,7 @@ class TestHostileNumbers:
             '{"query": ["inf"' + _ZEROS7 + "]}",
             '{"query": [1e400' + _ZEROS7 + "]}",
             '{"query": [-1e400' + _ZEROS7 + "]}",
+            '{"query": [1' + "0" * 400 + _ZEROS7 + "]}",
             '{"query": [true' + _ZEROS7 + "]}",
             '{"query": [[0.5]' + _ZEROS7 + "]}",
             '{"query": [1.0' + _ZEROS7 + '], "k": "abc"}',
@@ -171,6 +172,7 @@ class TestHostileNumbers:
             "inf-string",
             "overflow",
             "negative-overflow",
+            "huge-int",
             "bool-element",
             "nested-element",
             "k-string",
@@ -197,7 +199,9 @@ class TestHostileNumbers:
         assert payload["error"]["code"] == "invalid_argument"
 
     @pytest.mark.parametrize(
-        "event_time", ['"nan"', '"abc"', "NaN", "1e400", "true", "[1.0]"]
+        "event_time",
+        ['"nan"', '"abc"', "NaN", "1e400", "1" + "0" * 400, "true", "[1.0]"],
+        ids=["nan-string", "string", "nan", "overflow", "huge-int", "bool", "list"],
     )
     def test_write_rejects_event_time(self, stack, event_time):
         store, __, server = stack

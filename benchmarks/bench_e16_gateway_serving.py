@@ -113,7 +113,7 @@ def load_config(seed: int) -> LoadConfig:
 def run_config(config: GatewayConfig, warmup: bool) -> tuple[object, dict, float]:
     """Returns (load report, final snapshot, measured-window hit rate)."""
     with ServingGateway(make_store(), config=config) as gateway:
-        request = lambda key: gateway.get_features("rides", key)  # noqa: E731
+        request = lambda __, key: gateway.get_features("rides", key)  # noqa: E731
         if warmup:
             run_closed_loop(request, load_config(seed=3))
         before = gateway.snapshot()["endpoints"].get("get_features", {})

@@ -43,14 +43,20 @@ import time
 
 from repro.net import (
     AdmissionConfig,
+    ClientConfig,
+    FeatureClient,
     FeatureServer,
-    NetLoadConfig,
     QuotaConfig,
     ServerConfig,
-    run_network_load,
 )
-from repro.runtime import FaultPolicy, ServiceGroup, await_condition
-from repro.serving import FaultInjectingOnlineStore, ServingGateway
+from repro.runtime import FaultPolicy, RetryPolicy, ServiceGroup, await_condition
+from repro.serving import (
+    FaultInjectingOnlineStore,
+    LoadConfig,
+    LoadReport,
+    ServingGateway,
+    run_closed_loop,
+)
 from repro.serving.gateway import GatewayConfig
 from repro.storage.online import OnlineStore
 
@@ -90,6 +96,80 @@ BATCH_TENANT = "batch"
 RANKING_TENANT = "ranking"
 
 
+def _run_fleet(
+    port: int,
+    n_clients: int,
+    requests_per_client: int,
+    n_keys: int,
+    high_fraction: float,
+    deadline_s: float,
+    tenant_by_priority: dict[str, str] | None = None,
+) -> LoadReport:
+    """A closed-loop Zipfian fleet over HTTP, by priority class.
+
+    The first ``high_fraction`` of the clients send ``X-Priority: high``
+    (a deployed ranking model), the rest ``best_effort`` (a batch
+    backfill), and each class is reported separately: past saturation
+    the two populations must experience overload differently. A class
+    shares one ``FeatureClient`` (its connections are per thread) whose
+    tenant comes from ``tenant_by_priority``. Clients are non-retrying,
+    so the *server's* decisions are what is measured: a retry would hide
+    a shed and amplify offered load.
+    """
+    n_high = round(n_clients * high_fraction)
+    classes = ["high"] * n_high + ["best_effort"] * (n_clients - n_high)
+    tenants = tenant_by_priority or {}
+    clients = {
+        priority: FeatureClient(
+            ClientConfig(
+                port=port,
+                tenant=tenants.get(priority),
+                priority=priority,
+                default_deadline_s=deadline_s,
+                retry=RetryPolicy(max_retries=0),
+            )
+        )
+        for priority in set(classes)
+    }
+    try:
+        return run_closed_loop(
+            lambda c, key: clients[classes[c]].get_features("profile", key),
+            LoadConfig(
+                n_clients=n_clients,
+                requests_per_client=requests_per_client,
+                n_keys=n_keys,
+            ),
+            classes,
+        )
+    finally:
+        for client in clients.values():
+            client.close()
+
+
+def _class_records(report: LoadReport) -> dict[str, dict]:
+    """Each class's JSON record. A 429 (``throttled``) is the tenant
+    quota's refusal; a 503 (``overloaded`` from the watermark, or
+    ``unavailable`` from a draining server) is a shed."""
+    return {
+        label: {
+            "requests": c.requests,
+            "success_rate": round(c.success_rate, 4),
+            "throttled": c.outcomes.get("throttled", 0),
+            "shed": c.outcomes.get("overloaded", 0)
+            + c.outcomes.get("unavailable", 0),
+            "p50_ms": round(c.p50_ms, 3),
+            "p99_ms": round(c.p99_ms, 3),
+        }
+        for label, c in report.by_class.items()
+    }
+
+
+def _shed_rate(records: dict[str, dict], total_requests: int) -> float:
+    """Share of all requests refused with a 429 or a 503."""
+    refused = sum(r["throttled"] + r["shed"] for r in records.values())
+    return refused / total_requests if total_requests else 0.0
+
+
 def _populate(n_keys: int) -> OnlineStore:
     store = OnlineStore()
     store.create_namespace("profile")
@@ -111,29 +191,27 @@ def run_baseline_case(sizing: dict) -> dict:
     server = FeatureServer(gateway)
     server.start()
     try:
-        report = run_network_load(
-            NetLoadConfig(
-                port=server.port,
-                n_clients=sizing["base_clients"],
-                requests_per_client=sizing["base_requests"],
-                n_keys=sizing["n_keys"],
-                high_fraction=1.0,
-                deadline_s=1.0,
-                tenant=RANKING_TENANT,
-            )
+        report = _run_fleet(
+            server.port,
+            n_clients=sizing["base_clients"],
+            requests_per_client=sizing["base_requests"],
+            n_keys=sizing["n_keys"],
+            high_fraction=1.0,
+            deadline_s=1.0,
+            tenant_by_priority={"high": RANKING_TENANT},
         )
     finally:
         server.stop()
         gateway.stop()
-    high = report.by_priority["high"]
+    records = _class_records(report)
     return {
         "n_clients": sizing["base_clients"],
         "total_requests": report.total_requests,
         "qps": round(report.qps, 1),
         "p50_ms": round(report.p50_ms, 3),
         "p99_ms": round(report.p99_ms, 3),
-        "success_rate": round(high.success_rate, 4),
-        "shed_rate": round(report.shed_rate, 4),
+        "success_rate": records["high"]["success_rate"],
+        "shed_rate": round(_shed_rate(records, report.total_requests), 4),
     }
 
 
@@ -165,53 +243,35 @@ def run_overload_case(sizing: dict) -> dict:
     )
     server.start()
     try:
-        report = run_network_load(
-            NetLoadConfig(
-                port=server.port,
-                n_clients=n_clients,
-                requests_per_client=sizing["over_requests"],
-                n_keys=sizing["n_keys"],
-                high_fraction=0.5,
-                # generous relative to the latency floor: "high priority
-                # succeeds within deadline" must measure admission policy,
-                # not single-core scheduler jitter
-                deadline_s=2.5,
-                tenant=RANKING_TENANT,
-                tenant_by_priority={"best_effort": BATCH_TENANT},
-            )
+        report = _run_fleet(
+            server.port,
+            n_clients=n_clients,
+            requests_per_client=sizing["over_requests"],
+            n_keys=sizing["n_keys"],
+            high_fraction=0.5,
+            # generous relative to the latency floor: "high priority
+            # succeeds within deadline" must measure admission policy,
+            # not single-core scheduler jitter
+            deadline_s=2.5,
+            tenant_by_priority={
+                "high": RANKING_TENANT,
+                "best_effort": BATCH_TENANT,
+            },
         )
         admission = server.admission.snapshot()
     finally:
         server.stop()
         gateway.stop()
-    high = report.by_priority["high"]
-    best_effort = report.by_priority["best_effort"]
+    records = _class_records(report)
     return {
         "n_clients": n_clients,
         "watermark": OVERLOAD_WATERMARK,
         "saturation_x": round(n_clients / OVERLOAD_WATERMARK, 1),
         "total_requests": report.total_requests,
         "qps": round(report.qps, 1),
-        "shed_rate": round(report.shed_rate, 4),
+        "shed_rate": round(_shed_rate(records, report.total_requests), 4),
         "inflight_peak": admission["inflight_peak"],
-        "by_priority": {
-            "high": {
-                "requests": high.requests,
-                "success_rate": round(high.success_rate, 4),
-                "throttled": high.throttled,
-                "shed": high.shed,
-                "p50_ms": round(high.p50_ms, 3),
-                "p99_ms": round(high.p99_ms, 3),
-            },
-            "best_effort": {
-                "requests": best_effort.requests,
-                "success_rate": round(best_effort.success_rate, 4),
-                "throttled": best_effort.throttled,
-                "shed": best_effort.shed,
-                "p50_ms": round(best_effort.p50_ms, 3),
-                "p99_ms": round(best_effort.p99_ms, 3),
-            },
-        },
+        "by_priority": records,
     }
 
 
@@ -231,15 +291,13 @@ def run_drain_case(sizing: dict) -> dict:
     loadgen_done = threading.Event()
 
     def background_load() -> None:
-        run_network_load(
-            NetLoadConfig(
-                port=server.port,
-                n_clients=sizing["drain_clients"],
-                requests_per_client=sizing["drain_requests"],
-                n_keys=sizing["n_keys"],
-                high_fraction=0.5,
-                deadline_s=1.0,
-            )
+        _run_fleet(
+            server.port,
+            n_clients=sizing["drain_clients"],
+            requests_per_client=sizing["drain_requests"],
+            n_keys=sizing["n_keys"],
+            high_fraction=0.5,
+            deadline_s=1.0,
         )
         loadgen_done.set()
 

@@ -81,7 +81,7 @@ def main() -> None:
         print()
         print("== Zipfian closed loop (4 clients) ==")
         load = run_closed_loop(
-            lambda key: gateway.get_features("driver_stats", key),
+            lambda __, key: gateway.get_features("driver_stats", key),
             LoadConfig(n_clients=4, requests_per_client=500, n_keys=N_DRIVERS, seed=1),
         )
         print(

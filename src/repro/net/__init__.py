@@ -21,12 +21,12 @@ Four modules, one request path:
   :class:`~repro.runtime.ServiceGroup` ordering, plus ``GET
   /v1/metrics`` serving the shared
   :class:`~repro.runtime.MetricsRegistry` in Prometheus or JSON form;
-* :mod:`repro.net.client` / :mod:`repro.net.loadgen` —
-  :class:`FeatureClient` (envelope-driven retries) and the Zipfian
-  priority-mix loadgen behind bench E21.
+* :mod:`repro.net.client` — :class:`FeatureClient`, envelope-driven
+  retries over per-thread keep-alive connections. Bench E21 drives a
+  fleet of them through :func:`repro.serving.run_closed_loop`.
 
 Layering contract (rule 5 in ``tools/check_layering.py``): this package
-imports serving, vecserve, runtime, datagen and errors — and *nothing*
+imports serving, vecserve, runtime and errors — and *nothing*
 inside ``repro`` imports it back. The network plane is the top of the
 DAG; only benchmarks, examples and tests sit above it.
 """
@@ -41,12 +41,6 @@ from repro.net.admission import (
     Verdict,
 )
 from repro.net.client import ClientConfig, FeatureClient
-from repro.net.loadgen import (
-    ClassReport,
-    NetLoadConfig,
-    NetLoadReport,
-    run_network_load,
-)
 from repro.net.protocol import (
     API_PREFIX,
     AuthError,
@@ -68,14 +62,11 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AuthError",
-    "ClassReport",
     "ClientConfig",
     "ERROR_SPECS",
     "ErrorSpec",
     "FeatureClient",
     "FeatureServer",
-    "NetLoadConfig",
-    "NetLoadReport",
     "OverloadedError",
     "PayloadTooLargeError",
     "Priority",
@@ -87,6 +78,5 @@ __all__ = [
     "decode_error",
     "encode_error",
     "is_retryable",
-    "run_network_load",
     "spec_for",
 ]

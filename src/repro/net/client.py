@@ -24,7 +24,8 @@ so a retry never asks the server for time the client no longer has) and
 locally bounds the socket timeout, plus a short grace for the reply to
 travel back. Connections are per-thread
 (``http.client`` is not thread-safe), so one client instance can be
-shared by a multi-threaded loadgen.
+shared by a multi-threaded loadgen; :meth:`FeatureClient.close` closes
+the connections of every thread that used it.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ class FeatureClient:
         self.attempts = 0  # total HTTP attempts (inspectable by tests/bench)
         self.retries = 0
         self._counter_lock = threading.Lock()
+        #: every thread's open connection, so close() reaches them all
+        self._open: set[http.client.HTTPConnection] = set()
 
     @classmethod
     def for_server(cls, server, **overrides) -> "FeatureClient":
@@ -251,6 +254,8 @@ class FeatureClient:
     def _drop_connection(self) -> None:
         conn = getattr(self._local, "conn", None)
         if conn is not None:
+            with self._counter_lock:
+                self._open.discard(conn)
             conn.close()
             self._local.conn = None
 
@@ -268,6 +273,8 @@ class FeatureClient:
             conn, reused = self._connection(timeout_s)
             try:
                 if conn.sock is None:
+                    with self._counter_lock:
+                        self._open.add(conn)
                     conn.connect()
                     # request headers and body are separate send()s;
                     # Nagle would serialize them behind a delayed ACK
@@ -295,7 +302,15 @@ class FeatureClient:
         raise AssertionError("unreachable")  # pragma: no cover
 
     def close(self) -> None:
+        """Close every connection this client opened, from any thread.
+
+        Call it once the client's threads are done with it; a thread
+        that uses the client again afterwards reconnects."""
         self._drop_connection()
+        with self._counter_lock:
+            stale, self._open = self._open, set()
+        for conn in stale:
+            conn.close()
 
     def __enter__(self) -> "FeatureClient":
         return self

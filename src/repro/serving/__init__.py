@@ -13,7 +13,8 @@ features *and* embeddings to deployed models. This package is that tier:
 * :mod:`repro.serving.faults` — fault-injecting store wrapper (latency,
   timeouts, transient errors) the robustness machinery is tested against;
 * :mod:`repro.serving.metrics` — latency histograms, counters, gauges;
-* :mod:`repro.serving.loadgen` — closed-loop Zipfian load generation.
+* :mod:`repro.serving.loadgen` — the closed-loop Zipfian load driver
+  (``run_closed_loop(call, config, classes)``) behind E16 and E21.
 """
 
 # Re-exported so higher planes (repro.net) can name freshness semantics
@@ -27,12 +28,18 @@ from repro.serving.cache import (
 )
 from repro.serving.faults import FaultInjectingOnlineStore
 from repro.serving.gateway import EnrichResult, GatewayConfig, ServingGateway
-from repro.serving.loadgen import LoadConfig, LoadReport, run_closed_loop
+from repro.serving.loadgen import (
+    ClassReport,
+    LoadConfig,
+    LoadReport,
+    run_closed_loop,
+)
 from repro.serving.metrics import EndpointMetrics, ServingMetrics
 
 __all__ = [
     "CacheEntry",
     "CacheStats",
+    "ClassReport",
     "EndpointMetrics",
     "EnrichResult",
     "FaultInjectingOnlineStore",

@@ -60,7 +60,11 @@ from repro.runtime import (
 )
 from repro.runtime.resilience import FaultPolicy
 from repro.vecserve.monitor import RecallMonitor, VectorServeMetrics
-from repro.vecserve.shards import ShardedSearchResult, ShardedVectorIndex
+from repro.vecserve.shards import (
+    ShardedSearchResult,
+    ShardedVectorIndex,
+    _as_batch_of_one,
+)
 from repro.vecserve.snapshot import CompactionStats
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
@@ -404,9 +408,9 @@ class VectorService(Service):
             deadline = (
                 Deadline.after(deadline_s) if deadline_s is not None else None
             )
+            (checked,) = _as_batch_of_one(query, table.sharded.dim)
             future = self.batcher.submit(
-                (table.name, table.version, k),
-                (np.asarray(query, dtype=float), deadline),
+                (table.name, table.version, k), (checked, deadline)
             )
             if deadline is None:
                 return future.result()

@@ -73,10 +73,14 @@ def shard_for(external_id: int, n_shards: int) -> int:
 
 
 def _as_batch_of_one(vector: np.ndarray, dim: int) -> np.ndarray:
-    """A single ``(dim,)`` query as a ``(1, dim)`` batch."""
+    """A single ``(dim,)`` finite query as a ``(1, dim)`` batch. The
+    query batcher runs it before enqueueing, so a bad query fails its
+    own caller instead of every query co-batched with it."""
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (dim,):
         raise ValidationError(f"query dim {vector.shape} != index dim ({dim},)")
+    if not np.isfinite(vector).all():
+        raise ValidationError("query vectors must be finite")
     return vector[None]
 
 

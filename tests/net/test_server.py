@@ -11,6 +11,7 @@ wiring.
 import http.client
 import json
 import socket
+import threading
 import time
 
 import numpy as np
@@ -517,3 +518,39 @@ class TestClientRetry:
                 client.get_features("profile", eid % 5)
             assert client.attempts == 20
         assert server._connections.peak <= 3
+
+    def test_close_closes_every_threads_connection(self, stack):
+        """close() on one thread reaches the keep-alive connections other
+        threads opened, while those threads are still alive. The server
+        never reaps them itself within the test."""
+        __, gateway, __ = stack
+        server = FeatureServer(gateway, ServerConfig(keepalive_idle_s=60.0))
+        server.start()
+        client = _client(server)
+        fetched = threading.Barrier(4)
+        release = threading.Event()
+
+        def reader(eid: int) -> None:
+            client.get_features("profile", eid)
+            fetched.wait()
+            release.wait(timeout=10.0)
+
+        threads = [
+            threading.Thread(target=reader, args=(eid,)) for eid in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        try:
+            fetched.wait(timeout=10.0)
+            assert server.snapshot()["open_connections"] == 3
+            client.close()
+            assert await_condition(
+                lambda: server.snapshot()["open_connections"] == 0,
+                timeout_s=5.0,
+            )
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            server.stop()
+        assert not any(thread.is_alive() for thread in threads)

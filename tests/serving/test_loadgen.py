@@ -1,5 +1,7 @@
 """Tests for repro.serving.loadgen and repro.datagen.workloads."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,15 @@ from repro.datagen.workloads import (
     zipf_probabilities,
 )
 from repro.errors import ValidationError
+from repro.net import (
+    AdmissionConfig,
+    ClientConfig,
+    FeatureClient,
+    FeatureServer,
+    QuotaConfig,
+    ServerConfig,
+)
+from repro.runtime import RetryPolicy
 from repro.serving import (
     GatewayConfig,
     LoadConfig,
@@ -75,7 +86,7 @@ class TestClosedLoop:
             store.write("ns", i, {"v": float(i)}, event_time=0.0)
         with ServingGateway(store, config=GatewayConfig(n_workers=2)) as gateway:
             report = run_closed_loop(
-                lambda key: gateway.get_features("ns", key),
+                lambda __, key: gateway.get_features("ns", key),
                 LoadConfig(
                     n_clients=4, requests_per_client=50, n_keys=100, seed=1
                 ),
@@ -86,9 +97,10 @@ class TestClosedLoop:
         assert report.qps > 0
         assert report.p50_ms <= report.p95_ms <= report.p99_ms
         assert len(report.row("label")) == 5
+        assert report.by_class["all"].outcomes == {"ok": 200}
 
     def test_errors_are_counted_not_raised(self):
-        def failing(_key):
+        def failing(_client, _key):
             raise RuntimeError("boom")
 
         report = run_closed_loop(
@@ -97,6 +109,93 @@ class TestClosedLoop:
         assert report.errors == 20
         assert report.total_requests == 20
 
+    def test_outcomes_are_counted_per_class(self):
+        """A raised exception counts under its ``code`` when it has one,
+        else its class name; ``classes[i]`` labels client ``i``."""
+
+        class Throttled(Exception):
+            code = "throttled"
+
+        def call(client, key):
+            if client == 0:
+                return key
+            if client == 1:
+                raise Throttled()
+            if key % 2:
+                raise RuntimeError("boom")
+            return key
+
+        config = LoadConfig(n_clients=3, requests_per_client=40, n_keys=10)
+        report = run_closed_loop(call, config, ["a", "a", "b"])
+        # client 2's key stream is the driver's, seeded by seed + client
+        odd = int(
+            (
+                generate_zipfian_keys(
+                    ZipfianWorkloadConfig(n_keys=10, n_requests=40), seed=2
+                )
+                % 2
+            ).sum()
+        )
+        assert 0 < odd < 40
+        assert list(report.by_class) == ["a", "b"]
+        assert report.by_class["a"].outcomes == {"ok": 40, "throttled": 40}
+        assert report.by_class["a"].requests == 80
+        assert report.by_class["a"].success_rate == 0.5
+        assert report.by_class["b"].outcomes == {
+            "ok": 40 - odd,
+            "RuntimeError": odd,
+        }
+        ok = sum(c.ok for c in report.by_class.values())
+        assert report.errors == report.total_requests - ok == 40 + odd
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            run_closed_loop(lambda k: k, LoadConfig(n_clients=0))
+            run_closed_loop(lambda c, k: k, LoadConfig(n_clients=0))
+        with pytest.raises(ValidationError, match="classes"):
+            run_closed_loop(
+                lambda c, k: k, LoadConfig(n_clients=2), ["high"]
+            )
+
+    def test_wire_outcomes_from_a_tenant_quota(self):
+        """Over HTTP, a non-retrying client against a burst-N quota that
+        barely refills sees exactly N ``ok`` and the rest ``throttled``
+        (the code decoded off the error envelope)."""
+        store = OnlineStore()
+        store.create_namespace("ns")
+        for i in range(20):
+            store.write("ns", i, {"v": float(i)}, event_time=time.time())
+        burst = 7
+        with ServingGateway(store) as gateway:
+            server = FeatureServer(
+                gateway,
+                ServerConfig(
+                    admission=AdmissionConfig(
+                        tenant_quotas={
+                            "batch": QuotaConfig(rate=1e-6, burst=burst)
+                        }
+                    )
+                ),
+            )
+            server.start()
+            client = FeatureClient(
+                ClientConfig(
+                    port=server.port,
+                    tenant="batch",
+                    default_deadline_s=2.0,
+                    retry=RetryPolicy(max_retries=0),
+                )
+            )
+            try:
+                report = run_closed_loop(
+                    lambda c, key: client.get_features("ns", key),
+                    LoadConfig(n_clients=2, requests_per_client=10, n_keys=20),
+                    ["batch", "batch"],
+                )
+            finally:
+                client.close()
+                server.stop()
+        assert report.by_class["batch"].outcomes == {
+            "ok": burst,
+            "throttled": 20 - burst,
+        }
+        assert report.errors == 20 - burst

@@ -1,6 +1,7 @@
 """Tests for repro.vecserve.service — routing, subscription, batching."""
 
 import concurrent.futures
+import time
 
 import numpy as np
 import pytest
@@ -202,6 +203,35 @@ class TestQueryBatcher:
             result = service.search("emb", vectors[3], k=1, deadline_s=1.0)
             assert result.ids[0] == 3
             assert service.batcher.batched_requests.value == 1
+
+    @pytest.mark.parametrize(
+        "bad_query",
+        [np.full(8, np.nan), np.zeros(5)],
+        ids=["nan", "wrong_dim"],
+    )
+    def test_bad_query_fails_only_its_own_caller(self, corpus, bad_query):
+        """A query that would break the batch's fan-out is rejected
+        before it is enqueued, so the good queries it would have been
+        co-batched with still get their answers. The wide wait window
+        keeps every batch open while the queries arrive, so each of the
+        batcher's workers holds a good query when the bad one comes."""
+        __, vectors = corpus
+        queries = [vectors[i] for i in range(6)]
+        queries.insert(2, bad_query)
+        with VectorService(
+            n_workers=2, batch_queries=True, batch_wait_s=0.3
+        ) as service:
+            _serve(service, corpus)
+            with concurrent.futures.ThreadPoolExecutor(len(queries)) as pool:
+                futures = []
+                for query in queries:
+                    futures.append(pool.submit(service.search, "emb", query, 1))
+                    time.sleep(0.02)
+                bad = futures.pop(2)
+                for i, future in enumerate(futures):
+                    assert future.result().ids[0] == i
+                with pytest.raises(ValidationError):
+                    bad.result()
 
     def test_batcher_forwards_errors(self, corpus):
         with VectorService(n_workers=2, batch_queries=True) as service:

@@ -37,9 +37,8 @@ Seven rules keep it a DAG:
    either; the DAG stays acyclic.)
 5. **The network plane is the top of the DAG.** Modules under
    ``repro.net`` may import only the stdlib, numpy, ``repro.errors``,
-   ``repro.clock``, ``repro.runtime``, ``repro.serving``,
-   ``repro.vecserve`` and ``repro.datagen`` (the loadgen's workload
-   substrate) — and **nothing** else in ``repro`` may import
+   ``repro.clock``, ``repro.runtime``, ``repro.serving`` and
+   ``repro.vecserve`` — and **nothing** else in ``repro`` may import
    ``repro.net`` back. Only benchmarks, examples and tests sit above
    the network surface; a library module depending on the HTTP front
    end would invert the whole diagram.
@@ -118,15 +117,13 @@ COMPILER_ALLOWED_ROOTS = {
 }
 
 #: top-level roots repro.net may import at runtime (rule 5: the network
-#: surface mounts the serving/vector planes over the runtime kernel and
-#: reuses the datagen workload substrate for its loadgen)
+#: surface mounts the serving/vector planes over the runtime kernel)
 NET_ALLOWED_ROOTS = {
     "repro.errors",
     "repro.clock",
     "repro.runtime",
     "repro.serving",
     "repro.vecserve",
-    "repro.datagen",
     "repro.net",
     "numpy",
 }
@@ -294,7 +291,7 @@ def check_edges(edges: list[ImportEdge]) -> list[Violation]:
                         edge,
                         "repro.net may import only the stdlib, numpy, "
                         "repro.errors, repro.clock, repro.runtime, "
-                        "repro.serving, repro.vecserve and repro.datagen",
+                        "repro.serving and repro.vecserve",
                     )
                 )
                 continue

@@ -5,9 +5,10 @@ warehouse workload: date-partitioned scans, declarative filters, and
 point-in-time-correct training joins. This bench pits the columnar,
 vectorized execution path (batched as-of kernels, column-array gathers,
 numpy predicate masks, cached partition sort orders) against the original
-row-at-a-time path — which is kept alive in-tree (``engine="row"``,
-``Query._count_rowpath`` et al.) precisely so this comparison stays honest
-across future PRs.
+row-at-a-time path. The product has one (columnar) path; the row baselines
+below (``_build_training_set_row``, ``_query_count_row`` et al.) are the
+replaced code copied verbatim into this bench, precisely so this
+comparison stays honest across future PRs.
 
 Protocol per size ``n`` (events): ``n/50`` entities, 8 float features,
 events spread over 30 daily partitions, 8 materialization snapshots, and a
@@ -39,7 +40,15 @@ import time
 import numpy as np
 
 from repro.clock import SimClock
-from repro.core import ColumnRef, Feature, FeatureSetSpec, FeatureStore, FeatureView
+from repro.core import (
+    ColumnRef,
+    Feature,
+    FeatureSetSpec,
+    FeatureStore,
+    FeatureView,
+    TrainingSet,
+)
+from repro.errors import ValidationError
 from repro.storage import Query, TableSchema
 
 DAY = 86400.0
@@ -140,6 +149,84 @@ def _scan_resort_baseline(table) -> int:
     return count
 
 
+def _historical_features_row(store, entity_events, feature_set):
+    """The pre-columnar point-in-time join: one ``latest_before`` per cell."""
+    resolved = store.registry.resolve_feature_set(feature_set)
+    tables = {
+        view.name: store.offline.table(view.materialized_table)
+        for view, __ in resolved
+    }
+    out: list[dict[str, object]] = []
+    for entity_id, timestamp in entity_events:
+        row: dict[str, object] = {"entity_id": entity_id, "timestamp": timestamp}
+        for view, feature_name in resolved:
+            hit = tables[view.name].latest_before(entity_id, timestamp)
+            key = f"{view.name}@{view.version}:{feature_name}"
+            row[key] = None if hit is None else hit.get(feature_name)
+        out.append(row)
+    return out
+
+
+def _build_training_set_row(store, labels, feature_set) -> TrainingSet:
+    """The pre-columnar ``build_training_set``: a per-cell matrix loop."""
+    resolved = store.registry.resolve_feature_set(feature_set)
+    for view, feature_name in resolved:
+        dtype = view.feature(feature_name).dtype
+        if dtype == "string":
+            raise ValidationError(
+                f"feature {view.name}:{feature_name} is a string; training "
+                "sets require numeric features"
+            )
+    names = tuple(
+        f"{view.name}@{view.version}:{feature_name}"
+        for view, feature_name in resolved
+    )
+    n = len(labels)
+    joined = _historical_features_row(
+        store, [(e, t) for e, t, __ in labels], feature_set
+    )
+    matrix = np.full((n, len(names)), np.nan)
+    for i, row in enumerate(joined):
+        for j, name in enumerate(names):
+            value = row[name]
+            if value is not None:
+                matrix[i, j] = float(value)  # type: ignore[arg-type]
+    return TrainingSet(
+        features=matrix,
+        labels=np.array([label for __, __, label in labels]),
+        timestamps=np.array([t for __, t, __ in labels]),
+        entity_ids=np.array([e for e, __, __ in labels], dtype=np.int64),
+        feature_names=names,
+        feature_set=feature_set,
+    )
+
+
+_VALUE_DTYPES = {"float": np.float64, "int": np.int64, "string": object}
+
+
+def _query_matching(query):
+    """The pre-columnar ``Query`` row loop: scan, match every predicate."""
+    emitted = 0
+    for row in query.table.scan(start=query._start, end=query._end):
+        if all(p.matches(row) for p in query._predicates):
+            yield row
+            emitted += 1
+            if query._limit is not None and emitted >= query._limit:
+                return
+
+
+def _query_count_row(query) -> int:
+    return sum(1 for __ in _query_matching(query))
+
+
+def _query_values_row(query, column: str) -> np.ndarray:
+    collected = [
+        row[column] for row in _query_matching(query) if row.get(column) is not None
+    ]
+    dtype = _VALUE_DTYPES[query.table.schema.column_kind(column)]
+    return np.asarray(collected, dtype=dtype)
+
+
 def run_case(n_events: int, seed: int = 0, repeats: int = 3) -> dict:
     """Measure one size; returns a JSON-able result dict."""
     store, labels, meta = _build_world(n_events, seed)
@@ -147,7 +234,7 @@ def run_case(n_events: int, seed: int = 0, repeats: int = 3) -> dict:
 
     # -- point-in-time training join -------------------------------------
     row_s, ts_row = _best_of(
-        lambda: store.build_training_set(labels, "fs", engine="row"), repeats
+        lambda: _build_training_set_row(store, labels, "fs"), repeats
     )
     col_s, ts_col = _best_of(
         lambda: store.build_training_set(labels, "fs"), repeats
@@ -180,13 +267,13 @@ def run_case(n_events: int, seed: int = 0, repeats: int = 3) -> dict:
     # -- declarative queries ----------------------------------------------
     query = Query(table).where("f0", ">", 0.0).where("f1", "<=", 0.5)
     query.count()  # warm the column caches: steady-state comparison
-    count_row_s, count_row = _best_of(query._count_rowpath, repeats)
+    count_row_s, count_row = _best_of(lambda: _query_count_row(query), repeats)
     count_vec_s, count_vec = _best_of(query.count, repeats)
     assert count_row == count_vec
     agg_vec_s, __ = _best_of(lambda: query.aggregate("f2", "mean"), repeats)
 
     def _agg_rowpath():
-        vals = query._values_rowpath("f2")
+        vals = _query_values_row(query, "f2")
         return float(np.mean(vals)) if len(vals) else None
 
     agg_row_s, __ = _best_of(_agg_rowpath, repeats)

@@ -23,7 +23,7 @@ answer, built from the planes below it rather than beside them:
 * :mod:`repro.cluster.node` — a shard replica: the PR3
   :class:`~repro.bus.SegmentLog` as the replication stream, leader →
   follower frame shipping with CRC-checked apply and checkpointed
-  catch-up, the store/consumer/gateway stack behind it;
+  catch-up, the store/consumer stack behind it;
 * :mod:`repro.cluster.coordinator` — heartbeat failure detection and
   failover: promote the most-caught-up follower, re-point routes;
 * :mod:`repro.cluster.client` — ring-routed reads/writes with bounded

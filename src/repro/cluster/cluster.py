@@ -80,7 +80,6 @@ class Cluster:
         fsync: FsyncConfig | None = None,
         min_replica_acks: int = 1,
         namespace: str = "features",
-        with_gateways: bool = False,
         coordinator_config: CoordinatorConfig | None = None,
         clock: Clock | None = None,
         transport: str | Transport = "local",
@@ -114,7 +113,6 @@ class Cluster:
                         segment_bytes=segment_bytes,
                         fsync=fsync,
                         min_replica_acks=min_replica_acks,
-                        with_gateway=with_gateways,
                     ),
                     self.transport,
                     role=role,

@@ -12,10 +12,7 @@ shard group:
   :class:`~repro.bus.OnlineStoreSink` (the PR3 machinery unchanged — a
   restarted node resumes applying from its consumer-group offset, and
   the sink's :class:`~repro.bus.DedupeWindow` keeps replayed or
-  duplicated deliveries effectively-once in the store);
-* an optional **shard-local serving gateway**
-  (:class:`~repro.serving.ServingGateway`) fronting the store with the
-  cache/micro-batch read path for read-heavy deployments.
+  duplicated deliveries effectively-once in the store).
 
 Roles and replication: within a shard group one node is the **leader**
 — it encodes each write once, appends that frame to its log and
@@ -63,7 +60,6 @@ from repro.errors import (
     WrongOwnerError,
 )
 from repro.runtime import Counter, PeriodicTask, Service
-from repro.serving import GatewayConfig, ServingGateway
 from repro.storage.online import FreshnessPolicy, OnlineStore
 
 from repro.cluster.transport import Message, Transport
@@ -95,7 +91,6 @@ class NodeConfig:
     #: leader's background catch-up cadence
     reconcile_interval_s: float = 0.05
     ttl: float | None = None
-    with_gateway: bool = False
 
     def validate(self) -> None:
         if not self.node_id or not self.shard_id:
@@ -156,7 +151,6 @@ class ClusterNode(Service):
         self.worker = ConsumerWorker(
             self.consumer, self.sink, name=f"{config.node_id}-apply"
         )
-        self.gateway: ServingGateway | None = None
         self._role = role
         self._followers = tuple(followers)
         self._role_lock = threading.RLock()
@@ -181,11 +175,6 @@ class ClusterNode(Service):
     # -- lifecycle ------------------------------------------------------------
 
     def _on_start(self) -> None:
-        if self.config.with_gateway:
-            self.gateway = ServingGateway(
-                self.store,
-                config=GatewayConfig(enable_batching=False),
-            )
         self.worker.start()
         self._reconcile_task.start()
         self.transport.register(self.config.node_id, self.handle)
@@ -194,8 +183,6 @@ class ClusterNode(Service):
         self.transport.deregister(self.config.node_id)
         self._reconcile_task.stop()
         self.worker.stop()
-        if self.gateway is not None:
-            self.gateway.stop()
         self.log.close()
         self._stop_event.set()
         self._join_workers()
@@ -442,12 +429,9 @@ class ClusterNode(Service):
             )
         namespace = payload.get("namespace") or self.config.namespace
         entity_id = int(payload["entity_id"])
-        if self.gateway is not None:
-            features = self.gateway.get_features(namespace, entity_id)
-        else:
-            features = self.store.read(
-                namespace, entity_id, FreshnessPolicy.SERVE_ANYWAY
-            )
+        features = self.store.read(
+            namespace, entity_id, FreshnessPolicy.SERVE_ANYWAY
+        )
         self.reads_served.inc()
         return {
             "entity_id": entity_id,

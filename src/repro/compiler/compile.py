@@ -14,17 +14,14 @@ into a :class:`CompiledPlan` carrying a physical strategy:
     Predicates present: one :class:`~repro.storage.scan.SharedScan`
     bounded by as-of (and any timestamp predicates pushed into the scan
     range — pruned partitions are never decoded), a numpy mask per
-    residual predicate, and per-entity ``searchsorted`` sub-windows.
+    residual predicate (:meth:`~repro.storage.query.Predicate.mask`, which
+    covers every operator on every column kind), and per-entity
+    ``searchsorted`` sub-windows.
 
-``row-engine``
-    Ordering/membership predicates on string columns cannot become numpy
-    masks (``None`` payloads in object arrays explode); fall back to the
-    reference row engine, which is always correct.
-
-Projection pruning is implicit in all strategies: only columns named by
+Projection pruning is implicit in both strategies: only columns named by
 the plan's features and predicates are ever gathered or decoded.
 
-All strategies are byte-identical to ``Plan.execute_rows`` /
+Both strategies are byte-identical to ``Plan.execute_rows`` /
 ``Plan.execute_rows_at`` — enforced by the parity suite — because they
 feed the exact same float64 values, in the same order, to the exact same
 aggregation callables (:func:`repro.core.transforms.aggregate_fn`).
@@ -40,16 +37,8 @@ from repro.compiler.plan import Derived, Latest, Plan, WindowAgg, exclusive_end
 from repro.core.transforms import aggregate_fn
 from repro.errors import ValidationError
 from repro.storage.offline import OfflineTable
-from repro.storage.query import _STRING_ROW_PATH_OPS, Predicate
+from repro.storage.query import Predicate
 from repro.storage.scan import SharedScan
-
-
-def _column_kind(table: OfflineTable, column: str) -> str:
-    if column == "timestamp":
-        return "float"
-    if column == "entity_id":
-        return "int"
-    return table.schema.column_kind(column)
 
 
 def _pushdown_time_bounds(
@@ -97,18 +86,10 @@ def compile_plan(plan: Plan, table: OfflineTable) -> "CompiledPlan":
             f"against {table.name!r}"
         )
     start, end, residual = _pushdown_time_bounds(bound.predicates)
-    strategy = "shared-scan" if bound.predicates else "asof-index"
-    for predicate in residual:
-        if (
-            _column_kind(table, predicate.column) == "string"
-            and predicate.op in _STRING_ROW_PATH_OPS
-        ):
-            strategy = "row-engine"
-            break
     return CompiledPlan(
         plan=bound,
         table=table,
-        strategy=strategy,
+        strategy="shared-scan" if bound.predicates else "asof-index",
         pushed_start=start,
         pushed_end=end,
         residual=residual,
@@ -162,16 +143,6 @@ class CompiledPlan:
             if entity_ids is not None
             else self.table.entity_ids()
         )
-        if self.strategy == "row-engine":
-            self.stats = {
-                "rows_scanned": len(self.table),
-                "rows_pruned": 0,
-                "columns_decoded": 0,
-                "columns_pruned": 0,
-            }
-            return self.plan.execute_rows(
-                self.table, as_of, entity_ids=candidates
-            )
         if self.strategy == "asof-index":
             return self._evaluate_index(as_of, candidates)
         return self._evaluate_scan(as_of, candidates)
@@ -188,14 +159,6 @@ class CompiledPlan:
             raise ValidationError(
                 f"entity_ids and timestamps must align ({len(eids)} vs {len(ts)})"
             )
-        if self.strategy == "row-engine":
-            self.stats = {
-                "rows_scanned": len(self.table),
-                "rows_pruned": 0,
-                "columns_decoded": 0,
-                "columns_pruned": 0,
-            }
-            return self.plan.execute_rows_at(self.table, eids, ts)
         if self.strategy == "asof-index":
             return self._evaluate_index_at(eids, ts)
         return self._evaluate_scan_at(eids, ts)
@@ -378,7 +341,7 @@ class CompiledPlan:
                 "  asof: latest_before_index_batch + "
                 "events_between_index_batch (no scan)"
             )
-        elif self.strategy == "shared-scan":
+        else:
             start = "-inf" if self.pushed_start is None else f"{self.pushed_start:g}"
             end = "as_of" if self.pushed_end is None else f"{self.pushed_end:g}"
             lines.append(f"  scan: {self.table.name}[{start}, {end})")
@@ -390,8 +353,6 @@ class CompiledPlan:
             pushed = len(self.plan.predicates) - len(self.residual)
             if pushed:
                 lines.append(f"  pushdown: {pushed} timestamp predicate(s) -> scan range")
-        else:
-            lines.append("  fallback: string-ordering predicate forces the row engine")
         lines.append(
             f"  project: {', '.join(self.projected_columns()) or '(none)'}"
             + (

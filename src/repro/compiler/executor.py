@@ -7,11 +7,8 @@ the tick's as-of timestamp and points every plan's operators at it. Each
 plan keeps its own predicate masks and output shape — fusion shares the
 physical work (partition slicing, column decodes, the per-entity segment
 index), never the semantics, which is why fused output stays
-byte-identical to per-view execution.
-
-Plans that cannot run on the columnar path (string-ordering predicates)
-drop out of the group and run on the row engine individually; the stats
-report exactly how many views actually fused.
+byte-identical to per-view execution. Every predicate, string ones
+included, compiles to a mask, so every member of a group fuses.
 
 Inside a fusion group every predicate is applied as a residual mask —
 per-plan timestamp pushdown would shrink the shared range below what
@@ -21,9 +18,10 @@ for N-1 saved scans.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.compiler.compile import (
+    CompiledPlan,
     compile_plan,
     evaluate_on_scan,
     evaluate_on_scan_at,
@@ -54,6 +52,44 @@ def merge_stats(total: dict[str, int], delta: dict[str, int]) -> None:
         total[key] = total.get(key, 0) + int(value)
 
 
+def _execute_group(
+    plans: Sequence[Plan],
+    table: OfflineTable,
+    horizon: float,
+    on_scan: Callable[[Plan, SharedScan], list[dict[str, object]]],
+    alone: Callable[[CompiledPlan], list[dict[str, object]]],
+) -> tuple[list[list[dict[str, object]]], dict[str, int]]:
+    """The one body behind both fused shapes.
+
+    Two or more plans share one scan bounded by ``ts <= horizon``, and
+    ``on_scan`` evaluates each member over it. A lone plan runs ``alone``
+    on its compiled strategy: a "group" of one saves no scan and reports
+    no fusion.
+    """
+    compiled = [compile_plan(plan, table) for plan in plans]
+    stats = empty_stats()
+    stats["views_compiled"] = len(compiled)
+    if len(compiled) < 2:
+        results = []
+        for c in compiled:
+            results.append(alone(c))
+            merge_stats(stats, c.stats)
+        return results, stats
+    scan = SharedScan(table, start=None, end=exclusive_end(horizon))
+    results = [on_scan(c.plan, scan) for c in compiled]
+    shared_projection = set().union(*(c.plan.required_columns() for c in compiled))
+    stats.update(
+        fusion_groups=1,
+        views_fused=len(compiled),
+        scans_saved=len(compiled) - 1,
+        rows_scanned=scan.rows_scanned,
+        rows_pruned=scan.rows_pruned,
+        columns_decoded=scan.columns_decoded,
+        columns_pruned=len(set(table.schema.columns) - shared_projection),
+    )
+    return results, stats
+
+
 def execute_fused(
     plans: Sequence[Plan],
     table: OfflineTable,
@@ -66,51 +102,20 @@ def execute_fused(
     order. A single-plan "group" degenerates to normal compiled execution
     (no scans saved, no fusion reported).
     """
-    if not plans:
-        return [], empty_stats()
-    compiled = [compile_plan(plan, table) for plan in plans]
     candidates = (
         [int(e) for e in entity_ids]
         if entity_ids is not None
         else table.entity_ids()
     )
-    stats = empty_stats()
-    stats["views_compiled"] = len(compiled)
-
-    fusable = [c for c in compiled if c.strategy != "row-engine"]
-    results: dict[int, list[dict[str, object]]] = {}
-
-    if len(fusable) >= 2:
-        scan = SharedScan(table, start=None, end=exclusive_end(as_of))
-        for c in fusable:
-            position = compiled.index(c)
-            results[position] = evaluate_on_scan(
-                c.plan, c.plan.predicates, scan, as_of, candidates
-            )
-        stats["fusion_groups"] = 1
-        stats["views_fused"] = len(fusable)
-        stats["scans_saved"] = len(fusable) - 1
-        stats["rows_scanned"] = scan.rows_scanned
-        stats["rows_pruned"] = scan.rows_pruned
-        stats["columns_decoded"] = scan.columns_decoded
-        shared_projection = set().union(
-            *(c.plan.required_columns() for c in fusable)
-        )
-        stats["columns_pruned"] = len(
-            set(table.schema.columns) - shared_projection
-        )
-    else:
-        for c in fusable:
-            position = compiled.index(c)
-            results[position] = c.evaluate(as_of, entity_ids=candidates)
-            merge_stats(stats, c.stats)
-
-    for position, c in enumerate(compiled):
-        if c.strategy == "row-engine":
-            results[position] = c.evaluate(as_of, entity_ids=candidates)
-            merge_stats(stats, c.stats)
-
-    return [results[i] for i in range(len(compiled))], stats
+    return _execute_group(
+        plans,
+        table,
+        as_of,
+        lambda plan, scan: evaluate_on_scan(
+            plan, plan.predicates, scan, as_of, candidates
+        ),
+        lambda c: c.evaluate(as_of, entity_ids=candidates),
+    )
 
 
 def execute_fused_at(
@@ -120,74 +125,40 @@ def execute_fused_at(
     timestamps: Sequence[float],
 ) -> tuple[list[list[dict[str, object]]], dict[str, int]]:
     """Fused as-of join: every plan answers the same probe set, one scan."""
-    if not plans:
-        return [], empty_stats()
     eids = [int(e) for e in entity_ids]
     ts = [float(t) for t in timestamps]
-    if len(eids) != len(ts):
+    if plans and len(eids) != len(ts):
         raise ValidationError(
             f"entity_ids and timestamps must align ({len(eids)} vs {len(ts)})"
         )
-    compiled = [compile_plan(plan, table) for plan in plans]
-    stats = empty_stats()
-    stats["views_compiled"] = len(compiled)
-    fusable = [c for c in compiled if c.strategy != "row-engine"]
-    results: dict[int, list[dict[str, object]]] = {}
-
-    if len(fusable) >= 2:
-        horizon = max(ts) if ts else 0.0
-        scan = SharedScan(table, start=None, end=exclusive_end(horizon))
-        for c in fusable:
-            position = compiled.index(c)
-            results[position] = evaluate_on_scan_at(
-                c.plan, c.plan.predicates, scan, eids, ts
-            )
-        stats["fusion_groups"] = 1
-        stats["views_fused"] = len(fusable)
-        stats["scans_saved"] = len(fusable) - 1
-        stats["rows_scanned"] = scan.rows_scanned
-        stats["rows_pruned"] = scan.rows_pruned
-        stats["columns_decoded"] = scan.columns_decoded
-        shared_projection = set().union(
-            *(c.plan.required_columns() for c in fusable)
-        )
-        stats["columns_pruned"] = len(
-            set(table.schema.columns) - shared_projection
-        )
-    else:
-        for c in fusable:
-            position = compiled.index(c)
-            results[position] = c.evaluate_at(eids, ts)
-            merge_stats(stats, c.stats)
-
-    for position, c in enumerate(compiled):
-        if c.strategy == "row-engine":
-            results[position] = c.evaluate_at(eids, ts)
-            merge_stats(stats, c.stats)
-
-    return [results[i] for i in range(len(compiled))], stats
+    return _execute_group(
+        plans,
+        table,
+        max(ts) if ts else 0.0,
+        lambda plan, scan: evaluate_on_scan_at(
+            plan, plan.predicates, scan, eids, ts
+        ),
+        lambda c: c.evaluate_at(eids, ts),
+    )
 
 
 def explain_fused(plans: Sequence[Plan], table: OfflineTable) -> str:
     """Render the fusion group's physical layout."""
     compiled = [compile_plan(plan, table) for plan in plans]
-    fusable = [c for c in compiled if c.strategy != "row-engine"]
-    fallback = [c for c in compiled if c.strategy == "row-engine"]
+    fused = len(compiled) >= 2
     lines = [
         f"FusedGroup: table={table.name} plans={len(compiled)} "
-        f"fused={len(fusable) if len(fusable) >= 2 else 0} "
-        f"scans_saved={max(0, len(fusable) - 1) if len(fusable) >= 2 else 0}"
+        f"fused={len(compiled) if fused else 0} "
+        f"scans_saved={len(compiled) - 1 if fused else 0}"
     ]
-    if len(fusable) >= 2:
+    if fused:
         shared = sorted(
-            set().union(*(c.plan.required_columns() for c in fusable))
+            set().union(*(c.plan.required_columns() for c in compiled))
         )
         lines.append(f"  shared scan: {table.name}[-inf, as_of)")
         lines.append(f"  shared columns: {', '.join(shared)}")
     for c in compiled:
-        role = "row-engine" if c in fallback else (
-            "fused" if len(fusable) >= 2 else c.strategy
-        )
+        role = "fused" if fused else c.strategy
         predicates = len(c.plan.predicates)
         lines.append(
             f"  - plan({c.plan.source_table}): {len(c.plan.features)} "

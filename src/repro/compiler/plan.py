@@ -323,7 +323,7 @@ class Plan:
         """Lower the plan to a publishable :class:`FeatureView`.
 
         Feature dtypes come from the compiled schema inference; each
-        feature also carries an equivalent row-engine transform so
+        feature also carries an equivalent row-at-a-time transform so
         non-compiled consumers (and the parity suite) can evaluate it.
         """
         bound = self.bind(schema)

@@ -10,7 +10,9 @@ workflow the paper describes (section 2.2):
    transformations as of a timestamp and writes the results to *both*
    stores;
 3. **train** — :meth:`FeatureStore.build_training_set` performs the
-   point-in-time join of label events against materialized history;
+   point-in-time join of label events against materialized history, on
+   the batched as-of kernels (one columnar path; the parity suite holds
+   it to a row-at-a-time reference kept in the tests);
 4. **serve** — :meth:`FeatureStore.get_online_features` reads the latest
    vectors with freshness enforcement.
 """
@@ -237,8 +239,8 @@ class FeatureStore:
 
         if view.plan is not None:
             # Compiled route: the plan picks its physical strategy
-            # (asof-index / shared-scan / row-engine) and reports what the
-            # optimizer saved.
+            # (asof-index / shared-scan) and reports what the optimizer
+            # saved.
             compiled = view.plan.compile(source)
             rows = compiled.evaluate(as_of, entity_ids=entity_ids)
             self._note_compiler_stats({"views_compiled": 1, **compiled.stats})
@@ -454,64 +456,57 @@ class FeatureStore:
     def create_feature_set(self, spec: FeatureSetSpec) -> FeatureSetSpec:
         return self.registry.create_feature_set(spec)
 
+    def _as_of_hits(
+        self,
+        resolved: list[tuple[FeatureView, str]],
+        entity_ids: np.ndarray,
+        timestamps: np.ndarray,
+    ) -> list[tuple[OfflineTable, np.ndarray]]:
+        """Per resolved feature: its materialized table and as-of hit rows.
+
+        One batched as-of kernel call per *view* resolves every probe's
+        latest row at or before its timestamp (-1 for none); the view's
+        features all share that hit row.
+        """
+        hits: dict[tuple[str, int], tuple[OfflineTable, np.ndarray]] = {}
+        out = []
+        for view, __ in resolved:
+            key = (view.name, view.version)
+            if key not in hits:
+                table = self.offline.table(view.materialized_table)
+                hits[key] = (
+                    table,
+                    table.latest_before_index_batch(entity_ids, timestamps),
+                )
+            out.append(hits[key])
+        return out
+
     def get_historical_features(
         self,
         entity_events: list[tuple[int, float]],
         feature_set: str,
-        engine: str = "columnar",
     ) -> list[dict[str, object]]:
         """Point-in-time join: feature values as each event's timestamp saw them.
 
         For every ``(entity_id, timestamp)`` pair, each selected feature is
         read from the *latest materialized row at or before* the timestamp —
-        never from the future.
-
-        ``engine`` selects the execution path: ``"columnar"`` (default)
-        resolves all probes against a view's table with one batched as-of
-        kernel call and gathers feature values per column; ``"row"`` is the
-        original per-pair loop, kept for parity testing and benchmarking.
-        Both return identical results.
+        never from the future: one batched as-of kernel call per view, then
+        a value gather per feature column.
         """
         resolved = self.registry.resolve_feature_set(feature_set)
-        tables = {
-            view.name: self.offline.table(view.materialized_table)
-            for view, __ in resolved
-        }
-        if engine == "row":
-            out: list[dict[str, object]] = []
-            for entity_id, timestamp in entity_events:
-                row: dict[str, object] = {"entity_id": entity_id, "timestamp": timestamp}
-                for view, feature_name in resolved:
-                    hit = tables[view.name].latest_before(entity_id, timestamp)
-                    key = f"{view.name}@{view.version}:{feature_name}"
-                    row[key] = None if hit is None else hit.get(feature_name)
-                out.append(row)
-            return out
-        if engine != "columnar":
-            raise ValidationError(f"unknown engine {engine!r}; use 'columnar' or 'row'")
-
         n = len(entity_events)
-        entity_arr = np.fromiter((e for e, __ in entity_events), np.int64, count=n)
-        ts_arr = np.fromiter((t for __, t in entity_events), np.float64, count=n)
-        # One batched as-of kernel per *view* (all its features share the hit
-        # row), then a value gather per feature column.
-        hit_indices: dict[tuple[str, int], np.ndarray] = {}
-        columns: list[tuple[str, list[object]]] = []
-        for view, feature_name in resolved:
-            view_key = (view.name, view.version)
-            indices = hit_indices.get(view_key)
-            if indices is None:
-                indices = tables[view.name].latest_before_index_batch(
-                    entity_arr, ts_arr
-                )
-                hit_indices[view_key] = indices
-            qualified = f"{view.name}@{view.version}:{feature_name}"
-            columns.append(
-                (qualified, tables[view.name].gather_values(feature_name, indices))
-            )
+        hits = self._as_of_hits(
+            resolved,
+            np.fromiter((e for e, __ in entity_events), np.int64, count=n),
+            np.fromiter((t for __, t in entity_events), np.float64, count=n),
+        )
+        columns = [
+            (f"{view.name}@{view.version}:{name}", table.gather_values(name, indices))
+            for (view, name), (table, indices) in zip(resolved, hits)
+        ]
         out = []
         for i, (entity_id, timestamp) in enumerate(entity_events):
-            row = {"entity_id": entity_id, "timestamp": timestamp}
+            row: dict[str, object] = {"entity_id": entity_id, "timestamp": timestamp}
             for qualified, values in columns:
                 row[qualified] = values[i]
             out.append(row)
@@ -521,21 +516,15 @@ class FeatureStore:
         self,
         labels: list[tuple[int, float, float]],
         feature_set: str,
-        engine: str = "columnar",
     ) -> TrainingSet:
         """Join labels ``(entity_id, timestamp, label)`` against history.
 
         Non-numeric features are rejected — training matrices are float.
-
-        With the default ``engine="columnar"`` the matrix is assembled
-        column-by-column: one batched as-of kernel call per view resolves
-        every label's hit row, and each feature column is a direct numpy
-        gather (NaN where a feature had no value at the label's timestamp).
-        ``engine="row"`` is the original per-cell loop, kept for parity
-        tests and the A4 benchmark; both produce NaN-identical matrices.
+        The matrix is assembled column by column: one batched as-of kernel
+        call per view resolves every label's hit row, and each feature
+        column is a direct numpy gather (NaN where a feature had no value at
+        the label's timestamp).
         """
-        if engine not in ("columnar", "row"):
-            raise ValidationError(f"unknown engine {engine!r}; use 'columnar' or 'row'")
         resolved = self.registry.resolve_feature_set(feature_set)
         for view, feature_name in resolved:
             dtype = view.feature(feature_name).dtype
@@ -549,29 +538,14 @@ class FeatureStore:
             for view, feature_name in resolved
         )
         n = len(labels)
-        if engine == "row":
-            joined = self.get_historical_features(
-                [(e, t) for e, t, __ in labels], feature_set, engine="row"
-            )
-            matrix = np.full((n, len(names)), np.nan)
-            for i, row in enumerate(joined):
-                for j, name in enumerate(names):
-                    value = row[name]
-                    if value is not None:
-                        matrix[i, j] = float(value)  # type: ignore[arg-type]
-        else:
-            entity_arr = np.fromiter((e for e, __, __ in labels), np.int64, count=n)
-            ts_arr = np.fromiter((t for __, t, __ in labels), np.float64, count=n)
-            matrix = np.full((n, len(names)), np.nan)
-            hit_indices: dict[tuple[str, int], np.ndarray] = {}
-            for j, (view, feature_name) in enumerate(resolved):
-                table = self.offline.table(view.materialized_table)
-                view_key = (view.name, view.version)
-                indices = hit_indices.get(view_key)
-                if indices is None:
-                    indices = table.latest_before_index_batch(entity_arr, ts_arr)
-                    hit_indices[view_key] = indices
-                matrix[:, j] = table.gather_float(feature_name, indices)
+        hits = self._as_of_hits(
+            resolved,
+            np.fromiter((e for e, __, __ in labels), np.int64, count=n),
+            np.fromiter((t for __, t, __ in labels), np.float64, count=n),
+        )
+        matrix = np.full((n, len(names)), np.nan)
+        for j, ((__, name), (table, indices)) in enumerate(zip(resolved, hits)):
+            matrix[:, j] = table.gather_float(name, indices)
         return TrainingSet(
             features=matrix,
             labels=np.array([label for __, __, label in labels]),

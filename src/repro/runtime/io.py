@@ -556,14 +556,15 @@ class IoLoop(Service):
                 self._selector.unregister(conn.sock)
             except (KeyError, ValueError):
                 pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
+        # Bookkeeping before the close: the peer may act on EOF at once.
         self._connections.discard(conn)
         self.open_connections.dec()
         if reason == "idle":
             self.reaped.inc()
+        try:
+            conn.sock.close()
+        except OSError:
+            pass
         if conn.on_close is not None:
             try:
                 conn.on_close(conn, reason)

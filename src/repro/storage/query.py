@@ -14,13 +14,13 @@ per-entity aggregation.
     >>> q.aggregate("fare", "mean")
     >>> q.group_by_entity("fare", "sum")
 
-Execution is **vectorized**: predicates compile to numpy boolean masks over
-the offline table's per-partition column frames (NULL-mask semantics
-preserved — NULL never satisfies a comparison, including ``!=``), and
-``count``/``values``/``aggregate``/``group_by_entity`` run on arrays. The
-engine falls back to the row-at-a-time path only where numpy gains nothing:
-``in``/ordering predicates on string columns, and ``limit`` queries (which
-stop early). Both paths are held to identical results by the parity suite.
+Execution is **vectorized**, on one path: predicates compile to numpy
+boolean masks over the offline table's per-partition column frames
+(NULL-mask semantics preserved — NULL never satisfies a comparison,
+including ``!=``), ``limit`` keeps the first matches of the cumulative mask
+in scan order, and ``rows``/``count``/``values``/``aggregate``/
+``group_by_entity`` all read the masked frames. :meth:`Predicate.matches`
+is the per-row definition each mask is held to by the parity suite.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ _OPERATORS = {
     ">=": lambda a, b: a >= b,
     "in": lambda a, b: a in b,
 }
-
-# Ops that cannot be vectorized on string/object columns: `in` would fall
-# back to element-wise python anyway, and ordering comparisons explode on
-# None payloads inside object arrays.
-_STRING_ROW_PATH_OPS = {"in", "<", "<=", ">", ">="}
 
 _AGGREGATES = {
     "mean": np.mean,
@@ -87,16 +82,23 @@ class Predicate:
         """Vectorized :meth:`matches` over a column slice.
 
         ``values``/``null`` are a column frame slice; NULL positions are
-        masked out for every operator except ``not_null``.
+        masked out for every operator except ``not_null``. ``in`` and every
+        operator on an object (string) column see only the non-NULL values,
+        so an ordering never meets a ``None``; ``in`` is tested per element
+        in Python, because ``np.isin`` may sort mixed types.
         """
         if self.op == "not_null":
             return ~null
-        if self.op == "in":
-            hit = np.isin(values, np.asarray(list(self.value)))  # type: ignore[arg-type]
-        else:
-            with np.errstate(invalid="ignore"):
-                hit = _OPERATORS[self.op](values, self.value)
-        hit = np.asarray(hit, dtype=bool)
+        if self.op == "in" or values.dtype == object:
+            present = ~null
+            hit = np.zeros(values.shape, dtype=bool)
+            if self.op == "in":
+                hit[present] = [v in self.value for v in values[present]]  # type: ignore[operator]
+            else:
+                hit[present] = _OPERATORS[self.op](values[present], self.value)
+            return hit
+        with np.errstate(invalid="ignore"):
+            hit = np.asarray(_OPERATORS[self.op](values, self.value), dtype=bool)
         if hit.shape != values.shape:  # incomparable scalar -> numpy collapses
             hit = np.full(values.shape, bool(hit), dtype=bool)
         return hit & ~null
@@ -148,85 +150,46 @@ class Query:
         self._limit = n
         return self
 
-    # -- execution planning ---------------------------------------------------
-
-    def _vectorizable(self) -> bool:
-        """True when every predicate compiles to a numpy mask.
-
-        ``limit`` queries stay on the row path: they stop scanning early,
-        which the streaming row iterator already does optimally.
-        """
-        if self._limit is not None:
-            return False
-        for predicate in self._predicates:
-            kind = self.table.schema.column_kind(predicate.column)
-            if kind == "string" and predicate.op in _STRING_ROW_PATH_OPS:
-                return False
-        return True
+    # -- execution -------------------------------------------------------------
 
     def _frame_masks(self) -> Iterator[tuple[object, int, int, np.ndarray]]:
         """Yield ``(frame, lo, hi, mask)`` per overlapping partition.
 
         ``mask`` is boolean over the ``[lo, hi)`` time slice, the conjunction
-        of all compiled predicates.
+        of all compiled predicates. Under a ``limit`` the cumulative mask is
+        cut in scan order: only the first ``limit`` matches stay set, and
+        the scan stops once they are found.
         """
+        remaining = self._limit
         for frame, lo, hi in self.table.scan_frames(self._start, self._end):
+            if remaining == 0:
+                return
             mask = np.ones(hi - lo, dtype=bool)
             for predicate in self._predicates:
                 if not mask.any():
                     break
                 values, null = frame.column(predicate.column)
                 mask &= predicate.mask(values[lo:hi], null[lo:hi])
+            if remaining is not None:
+                hits = np.flatnonzero(mask)
+                if len(hits) > remaining:
+                    mask[hits[remaining]:] = False
+                remaining -= min(len(hits), remaining)
             yield frame, lo, hi, mask
-
-    # -- row-path execution (fallback + parity reference) ----------------------
-
-    def _matching(self) -> Iterator[dict[str, object]]:
-        emitted = 0
-        for row in self.table.scan(start=self._start, end=self._end):
-            if all(p.matches(row) for p in self._predicates):
-                yield row
-                emitted += 1
-                if self._limit is not None and emitted >= self._limit:
-                    return
-
-    def _count_rowpath(self) -> int:
-        return sum(1 for __ in self._matching())
-
-    def _values_rowpath(self, column: str) -> np.ndarray:
-        collected = [
-            row[column] for row in self._matching() if row.get(column) is not None
-        ]
-        dtype = _VALUE_DTYPES[self.table.schema.column_kind(column)]
-        return np.asarray(collected, dtype=dtype)
-
-    def _group_by_entity_rowpath(self, column: str, agg: str) -> dict[int, float]:
-        grouped: dict[int, list[float]] = {}
-        for row in self._matching():
-            value = row.get(column)
-            if value is None:
-                continue
-            grouped.setdefault(int(row["entity_id"]), []).append(float(value))  # type: ignore[arg-type]
-        return {
-            entity: float(_AGGREGATES[agg](np.asarray(values)))
-            for entity, values in grouped.items()
-        }
-
-    # -- public execution ------------------------------------------------------
 
     def rows(self) -> list[dict[str, object]]:
         """Materialize matching rows (projected if ``select`` was used)."""
         out = []
-        for row in self._matching():
-            if self._columns is None:
-                out.append(dict(row))
-            else:
-                out.append({c: row.get(c) for c in self._columns})
+        for frame, lo, __, mask in self._frame_masks():
+            for offset in np.flatnonzero(mask):
+                row = frame.rows[lo + int(offset)]
+                if self._columns is None:
+                    out.append(dict(row))
+                else:
+                    out.append({c: row.get(c) for c in self._columns})
         return out
 
     def count(self) -> int:
-        if not self._vectorizable():
-            return self._count_rowpath()
         return sum(int(mask.sum()) for __, __, __, mask in self._frame_masks())
 
     def values(self, column: str) -> np.ndarray:
@@ -237,8 +200,6 @@ class Query:
         """
         if column not in self._known_columns():
             raise ValidationError(f"unknown column {column!r}")
-        if not self._vectorizable():
-            return self._values_rowpath(column)
         kind = self.table.schema.column_kind(column)
         pieces: list[np.ndarray] = []
         for frame, lo, hi, mask in self._frame_masks():
@@ -289,8 +250,6 @@ class Query:
                 f"cannot aggregate string column {column!r}; aggregates "
                 "require a numeric column"
             )
-        if not self._vectorizable():
-            return self._group_by_entity_rowpath(column, agg)
         # Accumulate per-entity value chunks across partitions, then apply
         # the aggregate once per entity over the concatenated array.
         chunks: dict[int, list[np.ndarray]] = {}

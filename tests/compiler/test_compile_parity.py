@@ -1,8 +1,7 @@
 """Compiled execution must be byte-identical to the reference row engine.
 
 The optimizer may only change *how much work* is done, never the answer:
-every strategy (asof-index, shared-scan, row-engine fallback) is checked
-against ``Plan.execute_rows`` / ``Plan.execute_rows_at`` on randomized
+both strategies (asof-index, shared-scan) are checked against ``Plan.execute_rows`` / ``Plan.execute_rows_at`` on randomized
 plans, including NULL-heavy data, empty windows, empty tables and
 timestamp pushdown.
 """
@@ -42,7 +41,7 @@ def fixed_plans():
         .filter("city", "==", "sf")
         .window("fare", "std", 12 * 3600.0)
         .latest("tips"),
-        # row-engine fallback: string membership
+        # shared-scan: string membership is a mask too
         scan("trips")
         .filter("city", "in", ["nyc", "chi"])
         .window("fare", "max", DAY),
@@ -79,6 +78,40 @@ class TestFixedPlanParity:
         reference = plan.execute_rows(trips, AS_OF, entity_ids=subset)
         got = compile_plan(plan, trips).evaluate(AS_OF, entity_ids=subset)
         assert rows_equal(got, reference)
+
+
+class TestStringPredicateParity:
+    """String ordering and membership over a NULL-bearing column (``city``
+    is None in about a quarter of the rows) are masks like any other."""
+
+    @pytest.mark.parametrize(
+        "op, value",
+        [("<", "nyc"), ("<=", "nyc"), (">", "chi"), (">=", "sf"),
+         ("in", ("chi", "sf"))],
+    )
+    def test_string_predicate_matches_row_engine(self, trips, op, value):
+        plan = (
+            scan("trips")
+            .filter("city", op, value)
+            .window("fare", "sum", DAY)
+            .latest("city")
+        )
+        compiled = compile_plan(plan, trips)
+        assert compiled.strategy == "shared-scan"
+        assert rows_equal(compiled.evaluate(AS_OF), plan.execute_rows(trips, AS_OF))
+        rng = np.random.default_rng(5)
+        eids = [int(e) for e in rng.integers(0, 45, size=60)]
+        ts = [float(t) for t in rng.uniform(0, 3 * DAY, size=60)]
+        assert rows_equal(
+            compiled.evaluate_at(eids, ts), plan.execute_rows_at(trips, eids, ts)
+        )
+
+    def test_mismatched_type_raises_like_row_engine(self, trips):
+        plan = scan("trips").filter("city", "<", 5).latest("fare")
+        with pytest.raises(TypeError):
+            plan.execute_rows(trips, AS_OF)
+        with pytest.raises(TypeError):
+            compile_plan(plan, trips).evaluate(AS_OF)
 
 
 class TestEdgeCases:
@@ -182,6 +215,11 @@ def random_world(draw):
                     st.just("city"),
                     st.just("in"),
                     st.just(["nyc", "sf"]),
+                ),
+                st.tuples(
+                    st.just("city"),
+                    st.sampled_from(["<", "<=", ">", ">="]),
+                    st.sampled_from(["chi", "nyc", "o", "sf"]),
                 ),
                 st.tuples(
                     st.just("city"), st.just("not_null"), st.none()

@@ -178,8 +178,10 @@ class TestExplain:
         assert "strategy=shared-scan" in text
         assert "mask: fare > 0.0" in text
 
-        fallback = scan("trips").filter("city", "in", ["nyc"]).latest("fare")
-        assert "strategy=row-engine" in fallback.compile(trips).explain()
+        membership = scan("trips").filter("city", "in", ["nyc"]).latest("fare")
+        text = membership.compile(trips).explain()
+        assert "strategy=shared-scan" in text
+        assert "mask: city in ['nyc']" in text
 
     def test_physical_explain_shows_projection_pruning(self, trips):
         plan = scan("trips").latest("fare")

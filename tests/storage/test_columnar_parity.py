@@ -2,13 +2,16 @@
 
 The columnar engine (numpy frames, batched as-of kernels, vectorized query
 masks) must be *semantically invisible*: every result bit-for-bit equal to
-the row-at-a-time path it replaced. This suite drives randomized tables —
-out-of-order appends, duplicate timestamps, NULLs, mid-stream truncation —
-through both paths and insists on identical answers.
+the row-at-a-time references in ``tests/storage/row_reference.py``. This
+suite drives randomized tables — out-of-order appends, duplicate
+timestamps, NULLs, mid-stream truncation — through both and insists on
+identical answers.
 
 Reference implementations here are deliberately naive (pure-python scans
 over the raw rows) so they cannot share a bug with either engine path.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from repro.core import (
     WindowAggregate,
 )
 from repro.storage import OfflineTable, Query, TableSchema
+
+from tests.storage import row_reference
 
 DAY = 86400.0
 
@@ -185,29 +190,30 @@ class TestQueryParity:
         [("entity_id", "==", 3)],
         [("s", "==", "1")],
         [("s", "!=", "0"), ("x", "<", 1.0)],
+        [("s", "<", "1")],
+        [("s", "<=", "1"), ("x", ">", -0.5)],
+        [("s", ">", "0")],
+        [("s", ">=", "2")],
+        [("s", "in", ("0", "2"))],
+        [("s", "in", {"1"}), ("c", "in", [1, 2])],
     ]
 
     def _build(self, seed=11, n=200):
         rng = np.random.default_rng(seed)
         return _make_table(rng, n=n)
 
-    @pytest.mark.parametrize("predicates", PREDICATE_SETS)
-    @pytest.mark.parametrize("window", [(None, None), (DAY, 5 * DAY)])
-    def test_count_values_aggregate_group_parity(self, predicates, window):
-        table = self._build()
-        start, end = window
-
-        def build():
-            q = Query(table).between(start, end)
-            for column, op, value in predicates:
-                q = q.where(column, op, value)
-            return q
-
-        q = build()
-        assert q.count() == q._count_rowpath()
+    def _assert_query_parity(self, table, predicates, start=None, end=None, limit=None):
+        q = Query(table).between(start, end)
+        for column, op, value in predicates:
+            q = q.where(column, op, value)
+        if limit is not None:
+            q = q.limit(limit)
+        rows = row_reference.query_rows(table, predicates, start, end, limit)
+        assert q.count() == len(rows)
+        assert q.rows() == [dict(row) for row in rows]
         for column in ("x", "c", "entity_id", "timestamp", "s"):
             vec = q.values(column)
-            row = q._values_rowpath(column)
+            row = row_reference.query_values(table, rows, column)
             assert vec.dtype == row.dtype
             if vec.dtype == object:
                 assert list(vec) == list(row)
@@ -215,16 +221,32 @@ class TestQueryParity:
                 np.testing.assert_array_equal(vec, row)
         for agg in ("mean", "sum", "min", "max", "count", "std"):
             vec_g = q.group_by_entity("x", agg)
-            row_g = q._group_by_entity_rowpath("x", agg)
+            row_g = row_reference.query_group_by_entity(rows, "x", agg)
             assert set(vec_g) == set(row_g)
             for entity in vec_g:
                 assert vec_g[entity] == pytest.approx(row_g[entity], nan_ok=True)
 
-    def test_string_in_predicate_falls_back_and_matches(self):
-        table = self._build(seed=13)
-        q = Query(table).where("s", "in", ("0", "2"))
-        assert not q._vectorizable()
-        assert q.count() == q._count_rowpath()
+    @pytest.mark.parametrize("predicates", PREDICATE_SETS)
+    @pytest.mark.parametrize("window", [(None, None), (DAY, 5 * DAY)])
+    def test_count_values_aggregate_group_parity(self, predicates, window):
+        self._assert_query_parity(self._build(), predicates, *window)
+
+    @pytest.mark.parametrize("limit", [0, 1, 7, 10_000])
+    @pytest.mark.parametrize(
+        "predicates", [[], [("x", ">", 0.0)], [("s", ">=", "1")]]
+    )
+    def test_limit_parity(self, predicates, limit):
+        # eight daily partitions: a limit cuts the mask across frames
+        table = self._build(seed=19)
+        self._assert_query_parity(table, predicates, limit=limit)
+        self._assert_query_parity(table, predicates, DAY, 5 * DAY, limit=limit)
+
+    def test_mismatched_type_comparison_raises_like_reference(self):
+        table = self._build(seed=23)
+        with pytest.raises(TypeError):
+            row_reference.query_rows(table, [("s", "<", 1)])
+        with pytest.raises(TypeError):
+            Query(table).where("s", "<", 1).count()
 
     def test_query_sees_appends_after_vectorized_run(self):
         table = self._build(seed=17, n=60)
@@ -285,34 +307,45 @@ class TestTrainingSetParity:
     @pytest.mark.parametrize("seed", range(3))
     def test_build_training_set_row_vs_columnar(self, seed):
         store, labels = self._world(seed=seed)
-        row = store.build_training_set(labels, "fs", engine="row")
-        col = store.build_training_set(labels, "fs", engine="columnar")
-        assert row.feature_names == col.feature_names
-        np.testing.assert_array_equal(row.labels, col.labels)
-        np.testing.assert_array_equal(row.entity_ids, col.entity_ids)
-        np.testing.assert_array_equal(row.timestamps, col.timestamps)
-        assert np.array_equal(row.features, col.features, equal_nan=True)
+        row = row_reference.training_matrix(store, labels, "fs")
+        col = store.build_training_set(labels, "fs")
+        assert col.feature_names == ("v@1:a_latest", "v@1:b_latest", "v@1:a_sum")
+        np.testing.assert_array_equal(col.labels, [label for __, __, label in labels])
+        np.testing.assert_array_equal(col.entity_ids, [e for e, __, __ in labels])
+        np.testing.assert_array_equal(col.timestamps, [t for __, t, __ in labels])
+        assert np.array_equal(row, col.features, equal_nan=True)
 
     def test_build_training_set_after_truncate(self):
         store, labels = self._world(seed=9)
         view = store.registry.view("v")
         store.offline.table(view.materialized_table).truncate_before(3 * DAY)
-        row = store.build_training_set(labels, "fs", engine="row")
+        row = row_reference.training_matrix(store, labels, "fs")
         col = store.build_training_set(labels, "fs")
-        assert np.array_equal(row.features, col.features, equal_nan=True)
+        assert np.array_equal(row, col.features, equal_nan=True)
 
     def test_get_historical_features_row_vs_columnar(self):
         store, labels = self._world(seed=4)
         pairs = [(e, t) for e, t, __ in labels]
-        row = store.get_historical_features(pairs, "fs", engine="row")
+        row = row_reference.historical_features(store, pairs, "fs")
         col = store.get_historical_features(pairs, "fs")
         assert row == col
 
-    def test_unknown_engine_rejected(self):
-        from repro.errors import ValidationError
-
-        store, labels = self._world(seed=2, n_events=50)
-        with pytest.raises(ValidationError):
-            store.build_training_set(labels, "fs", engine="pandas")
-        with pytest.raises(ValidationError):
-            store.get_historical_features([(1, 0.0)], "fs", engine="arrow")
+    def test_two_versions_of_one_view_read_their_own_tables(self):
+        store, labels = self._world(seed=6)
+        v1 = store.registry.view("v")
+        store.publish_view(dataclasses.replace(v1, features=v1.features[:1]))
+        store.materialize("v", as_of=6 * DAY)  # v2 has one snapshot only
+        store.create_feature_set(
+            FeatureSetSpec(name="both", features=("v@1:a_latest", "v@2:a_latest"))
+        )
+        pairs = [(e, t) for e, t, __ in labels]
+        row = row_reference.historical_features(store, pairs, "both")
+        assert row != [
+            {**r, "v@1:a_latest": r["v@2:a_latest"]} for r in row
+        ]  # the versions disagree somewhere
+        assert store.get_historical_features(pairs, "both") == row
+        assert np.array_equal(
+            store.build_training_set(labels, "both").features,
+            row_reference.training_matrix(store, labels, "both"),
+            equal_nan=True,
+        )

@@ -3,7 +3,7 @@
 This is the CI tripwire behind the A4 benchmark (see
 ``benchmarks/bench_a4_columnar_join.py`` for the full trajectory): at 100k
 events / 10k labels the vectorized ``build_training_set`` must beat the
-retained row engine. The full bench asserts ≥10x; here we only assert the
+row-at-a-time reference in ``tests/storage/row_reference.py``. The full bench asserts ≥10x; here we only assert the
 *direction* so OS jitter can never flake the tier-1 suite.
 """
 
@@ -15,6 +15,8 @@ import pytest
 from repro.clock import SimClock
 from repro.core import ColumnRef, Feature, FeatureSetSpec, FeatureStore, FeatureView
 from repro.storage import TableSchema
+
+from tests.storage.row_reference import training_matrix
 
 DAY = 86400.0
 N_EVENTS = 100_000
@@ -67,12 +69,12 @@ def test_columnar_join_not_slower_than_row_path_at_100k():
     ]
 
     # Warm both paths once (column caches, as-of arrays), then time.
-    row_set = store.build_training_set(labels, "fs", engine="row")
+    row_matrix = training_matrix(store, labels, "fs")
     col_set = store.build_training_set(labels, "fs")
-    assert np.array_equal(row_set.features, col_set.features, equal_nan=True)
+    assert np.array_equal(row_matrix, col_set.features, equal_nan=True)
 
     t0 = time.perf_counter()
-    store.build_training_set(labels, "fs", engine="row")
+    training_matrix(store, labels, "fs")
     row_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     store.build_training_set(labels, "fs")

@@ -215,9 +215,10 @@ class TestLayering:
                 "repro.cluster.coordinator", "repro.monitoring", 2
             ),
             checker.ImportEdge("repro.cluster.client", "repro.vecserve", 3),
+            checker.ImportEdge("repro.cluster.node", "repro.serving", 4),
         ]
         violations = checker.check_edges(edges)
-        assert len(violations) == 3
+        assert len(violations) == 4
         # the cluster → net edge is reported by rule 5b (net's reverse-
         # import guard fires first); the others by rule 6a
         assert "top of the DAG" in violations[0].rule
@@ -227,7 +228,7 @@ class TestLayering:
         checker = _load_checker()
         edges = [
             checker.ImportEdge("repro.cluster.node", "repro.bus", 1),
-            checker.ImportEdge("repro.cluster.node", "repro.serving", 2),
+            checker.ImportEdge("repro.cluster.node", "repro.clock", 2),
             checker.ImportEdge(
                 "repro.cluster.node", "repro.storage.online", 3
             ),

@@ -44,8 +44,8 @@ Seven rules keep it a DAG:
    end would invert the whole diagram.
 6. **The cluster plane is also a top of the DAG.** Modules under
    ``repro.cluster`` may import only the stdlib, numpy, ``repro.errors``,
-   ``repro.clock``, ``repro.runtime``, ``repro.storage``, ``repro.bus``
-   and ``repro.serving`` — and **nothing** else in ``repro`` may import
+   ``repro.clock``, ``repro.runtime``, ``repro.storage`` and
+   ``repro.bus`` — and **nothing** else in ``repro`` may import
    ``repro.cluster`` back. In particular ``repro.net`` and
    ``repro.cluster`` stay mutually independent: the single-process
    network surface and the multi-node replication plane compose in
@@ -129,7 +129,7 @@ NET_ALLOWED_ROOTS = {
 }
 
 #: top-level roots repro.cluster may import at runtime (rule 6: the
-#: cluster plane replicates the bus log across store/serving stacks over
+#: cluster plane replicates the bus log across online-store shards over
 #: the runtime kernel; it sits at the top of the DAG beside repro.net)
 CLUSTER_ALLOWED_ROOTS = {
     "repro.errors",
@@ -137,7 +137,6 @@ CLUSTER_ALLOWED_ROOTS = {
     "repro.runtime",
     "repro.storage",
     "repro.bus",
-    "repro.serving",
     "repro.cluster",
     "numpy",
 }
@@ -319,7 +318,7 @@ def check_edges(edges: list[ImportEdge]) -> list[Violation]:
                         edge,
                         "repro.cluster may import only the stdlib, numpy, "
                         "repro.errors, repro.clock, repro.runtime, "
-                        "repro.storage, repro.bus and repro.serving",
+                        "repro.storage and repro.bus",
                     )
                 )
                 continue

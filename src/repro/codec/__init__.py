@@ -12,7 +12,7 @@ that never materialize the decoded database.
   implementations: :class:`Fp32Codec` (float32 passthrough, 2x vs the
   float64 raw matrix), :class:`Int8Codec` (per-dimension scalar
   quantization, 8x), and :class:`PQCodec` (k-means codebooks over
-  subspaces, 16-64x), plus codec state (de)serialization.
+  subspaces, 16-64x).
 * :mod:`repro.codec.adc` — the scan primitives: exact top-k over coded
   rows for a query batch (a single query is a batch of one through the
   same kernel), returning raw row positions so callers
@@ -32,8 +32,6 @@ from repro.codec.codecs import (
     Int8Codec,
     PQCodec,
     VectorCodec,
-    codec_from_state,
-    codec_to_state,
     kmeans,
     make_codec,
 )
@@ -49,8 +47,6 @@ __all__ = [
     "adc_scores_batch",
     "adc_topk",
     "adc_topk_batch",
-    "codec_from_state",
-    "codec_to_state",
     "kmeans",
     "make_codec",
 ]

@@ -196,19 +196,6 @@ class VectorCodec(ABC):
         """Resident bytes of the trained codec state (codebooks, scales)."""
         return 0
 
-    def state(self) -> dict[str, object]:
-        """Serializable trained state (arrays stay numpy)."""
-        self._check_trained("serialize")
-        return {"kind": self.kind, **self._state()}
-
-    @abstractmethod
-    def _state(self) -> dict[str, object]:
-        """Codec-specific state payload."""
-
-    @abstractmethod
-    def _restore(self, payload: dict[str, object]) -> None:
-        """Codec-specific state restore (inverse of :meth:`_state`)."""
-
     def _check_trained(self, action: str) -> None:
         if not self._trained:
             raise ValidationError(
@@ -265,12 +252,6 @@ class Fp32Codec(VectorCodec):
     @property
     def bytes_per_vector(self) -> float:
         return 4.0 * self._dim
-
-    def _state(self) -> dict[str, object]:
-        return {"dim": self._dim}
-
-    def _restore(self, payload: dict[str, object]) -> None:
-        self._dim = int(payload["dim"])  # type: ignore[arg-type]
 
 
 class Int8Codec(VectorCodec):
@@ -346,18 +327,6 @@ class Int8Codec(VectorCodec):
     @property
     def state_bytes(self) -> int:
         return int(self._scale.nbytes + self._offset.nbytes)
-
-    def _state(self) -> dict[str, object]:
-        return {
-            "mode": self.mode,
-            "scale": self._scale.copy(),
-            "offset": self._offset.copy(),
-        }
-
-    def _restore(self, payload: dict[str, object]) -> None:
-        self.mode = str(payload["mode"])
-        self._scale = np.asarray(payload["scale"], dtype=np.float64)
-        self._offset = np.asarray(payload["offset"], dtype=np.float64)
 
 
 def kmeans(
@@ -509,22 +478,6 @@ class PQCodec(VectorCodec):
     def state_bytes(self) -> int:
         return int(self._codebooks.nbytes)
 
-    def _state(self) -> dict[str, object]:
-        return {
-            "n_subspaces": self.n_subspaces,
-            "n_codes": self.n_codes,
-            "n_iterations": self.n_iterations,
-            "seed": self.seed,
-            "codebooks": self._codebooks.copy(),
-        }
-
-    def _restore(self, payload: dict[str, object]) -> None:
-        self.n_subspaces = int(payload["n_subspaces"])  # type: ignore[arg-type]
-        self.n_codes = int(payload["n_codes"])  # type: ignore[arg-type]
-        self.n_iterations = int(payload["n_iterations"])  # type: ignore[arg-type]
-        self.seed = int(payload["seed"])  # type: ignore[arg-type]
-        self._codebooks = np.asarray(payload["codebooks"], dtype=np.float32)
-
 
 #: registry: codec kind -> constructor.
 CODEC_KINDS: dict[str, type[VectorCodec]] = {
@@ -547,21 +500,3 @@ def make_codec(spec: str | VectorCodec, **kwargs) -> VectorCodec:
             f"unknown codec kind {spec!r}; allowed {sorted(CODEC_KINDS)}"
         )
     return CODEC_KINDS[spec](**kwargs)
-
-
-def codec_to_state(codec: VectorCodec) -> dict[str, object]:
-    """Trained codec → serializable payload (kind-tagged)."""
-    return codec.state()
-
-
-def codec_from_state(payload: dict[str, object]) -> VectorCodec:
-    """Payload → trained codec; unknown kinds raise ``ValidationError``."""
-    kind = payload.get("kind")
-    if kind not in CODEC_KINDS:
-        raise ValidationError(
-            f"unknown codec kind {kind!r} in state; allowed {sorted(CODEC_KINDS)}"
-        )
-    codec = CODEC_KINDS[kind]()
-    codec._restore(payload)
-    codec._trained = True
-    return codec

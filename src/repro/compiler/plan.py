@@ -272,6 +272,8 @@ class Plan:
                 f"plan over {self.source_table!r} references columns "
                 f"{sorted(unknown)} the table does not declare"
             )
+        for predicate in self.predicates:
+            predicate.check_kind(schema.column_kind(predicate.column))
         for feature in self.features:
             feature.op.infer_dtype(schema)  # raises on bad dtype names
             if isinstance(feature.op, WindowAgg):

@@ -6,9 +6,6 @@
 * :mod:`repro.core.embedding_store` — embeddings as first-class citizens
   (paper parts 2-3): versioning, provenance, search, quality metrics and
   model/embedding compatibility enforcement.
-* :mod:`repro.core.shared_table` — feature-hashed shared embedding
-  tables (hash n-gram → row, multi-probe averaging): unbounded vocab in
-  fixed memory, materializable into the bus → vecserve path.
 """
 
 from repro.core.embedding_store import (
@@ -23,7 +20,6 @@ from repro.core.feature_store import (
 )
 from repro.core.feature_view import Feature, FeatureSetSpec, FeatureView
 from repro.core.registry import EntityDef, FeatureRegistry
-from repro.core.shared_table import SharedEmbeddingTable, char_ngrams
 from repro.core.transforms import (
     ColumnRef,
     RowTransform,
@@ -46,11 +42,9 @@ __all__ = [
     "MaterializationResult",
     "Provenance",
     "RowTransform",
-    "SharedEmbeddingTable",
     "TrainingSet",
     "Transformation",
     "WindowAggregate",
     "aggregate_fn",
     "available_aggregations",
-    "char_ngrams",
 ]

@@ -34,7 +34,6 @@ from repro.datagen.tabular import (
     RideEventConfig,
     TabularDataset,
     generate_ride_events,
-    generate_tabular,
 )
 from repro.datagen.tasks import (
     ClassificationTask,
@@ -76,7 +75,6 @@ __all__ = [
     "generate_ride_events",
     "generate_sliced_task",
     "generate_stream",
-    "generate_tabular",
     "generate_zipfian_keys",
     "theoretical_hit_rate",
     "zipf_probabilities",

@@ -185,51 +185,3 @@ def generate_ride_events(
             "vehicle_type": config.n_vehicle_types,
         },
     )
-
-
-def generate_tabular(
-    n_rows: int,
-    numeric_specs: dict[str, tuple[float, float]],
-    categorical_specs: dict[str, int] | None = None,
-    n_entities: int = 100,
-    time_span: float = SECONDS_PER_DAY,
-    start_time: float = 0.0,
-    null_rate: float = 0.0,
-    seed: int | np.random.Generator = 0,
-) -> TabularDataset:
-    """Generate a generic Gaussian/categorical table.
-
-    ``numeric_specs`` maps column name to ``(mean, std)``;
-    ``categorical_specs`` maps column name to cardinality (uniform draw).
-    Useful for monitoring experiments where the reference distribution must
-    be exactly known.
-    """
-    if n_rows <= 0:
-        raise ValidationError(f"n_rows must be positive ({n_rows=})")
-    rng = _rng(seed)
-    categorical_specs = categorical_specs or {}
-
-    entity_ids = rng.integers(0, n_entities, size=n_rows).astype(np.int64)
-    timestamps = np.sort(start_time + rng.uniform(0.0, time_span, size=n_rows))
-
-    numeric: dict[str, np.ndarray] = {}
-    for name, (mean, std) in numeric_specs.items():
-        col = rng.normal(mean, std, size=n_rows)
-        if null_rate > 0:
-            col[rng.random(n_rows) < null_rate] = np.nan
-        numeric[name] = col
-
-    categorical: dict[str, np.ndarray] = {}
-    for name, cardinality in categorical_specs.items():
-        col = rng.integers(0, cardinality, size=n_rows).astype(np.int64)
-        if null_rate > 0:
-            col[rng.random(n_rows) < null_rate] = -1
-        categorical[name] = col
-
-    return TabularDataset(
-        entity_ids=entity_ids,
-        timestamps=timestamps,
-        numeric=numeric,
-        categorical=categorical,
-        categorical_cardinality=dict(categorical_specs),
-    )

@@ -1,7 +1,7 @@
 """Downstream model substrate.
 
 The paper's downstream systems (recommenders, rankers, NED products) are
-stand-ins here: numpy logistic regression and MLP classifiers with a
+stand-ins here: numpy logistic regression with a
 sklearn-ish ``fit``/``predict``/``predict_proba`` interface, plus the
 evaluation metrics (accuracy, F1, per-slice accuracy) the monitoring and
 patching layers consume.
@@ -15,12 +15,10 @@ from repro.models.metrics import (
     precision_recall_f1,
     slice_accuracies,
 )
-from repro.models.mlp import MLPClassifier
 from repro.models.preprocess import MeanImputer, StandardScaler
 
 __all__ = [
     "LogisticRegression",
-    "MLPClassifier",
     "MeanImputer",
     "StandardScaler",
     "accuracy",

@@ -22,12 +22,9 @@ This package reproduces that system shape end to end:
 from repro.ned.evaluation import NedEvaluation, evaluate_model, tail_entity_ids
 from repro.ned.features import CandidateFeaturizer, TypeClassifier
 from repro.ned.models import NedModel, train_ned_model
-from repro.ned.service import Disambiguation, DisambiguationService
 
 __all__ = [
     "CandidateFeaturizer",
-    "Disambiguation",
-    "DisambiguationService",
     "NedEvaluation",
     "NedModel",
     "TypeClassifier",

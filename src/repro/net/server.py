@@ -522,15 +522,11 @@ class FeatureServer(Service):
             )
 
         try:
-            result = self._dispatch(
+            return self._dispatch(
                 exchange, method, parts, query, deadline, priority
             )
-            self.completed.inc()
-            return result
-        except Exception:
-            self.completed.inc()  # an error envelope is still a response
-            raise
         finally:
+            self.completed.inc()  # an error envelope is still a response
             self.admission.release()
 
     def _dispatch(

@@ -127,7 +127,7 @@ class Service:
             self._state = ServiceState.STARTING
             try:
                 self._on_start()
-            except BaseException as exc:
+            except BaseException as exc:  # noqa: BLE001 - marks FAILED, re-raised
                 self._state = ServiceState.FAILED
                 self._failure = exc
                 raise
@@ -324,7 +324,7 @@ class ServiceGroup(Service):
         for member in self._members:
             try:
                 member.start()
-            except BaseException:
+            except BaseException:  # noqa: BLE001 - rolls back, re-raised
                 self._drain(list(self._started_members))
                 raise
             self._started_members.append(member)

@@ -16,7 +16,8 @@ SLO monitoring; see PAPERS.md); this module is that tier for ``repro``:
 * **read-through caching** — LRU + TTL + Zipfian hot tier
   (:mod:`repro.serving.cache`), invalidated by the store's write path;
 * **robust execution** — a bounded worker pool, per-request deadlines,
-  retry-with-backoff on :class:`~repro.errors.TransientStoreError`, and
+  retry-with-backoff on :class:`~repro.errors.TransientStoreError`
+  (every store read goes through :func:`repro.runtime.retry_call`), and
   graceful degradation: on an exhausted budget the gateway serves the
   stale cached value, returns ``None``, or raises, according to the
   request's :class:`~repro.storage.online.FreshnessPolicy`;
@@ -35,7 +36,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +46,14 @@ from repro.errors import (
     TransientStoreError,
     ValidationError,
 )
-from repro.runtime import Batcher, Deadline, MetricsRegistry, RetryPolicy, Service
+from repro.runtime import (
+    Batcher,
+    Deadline,
+    MetricsRegistry,
+    RetryPolicy,
+    Service,
+    retry_call,
+)
 from repro.serving.cache import CacheEntry, LookupStatus, ReadThroughCache
 from repro.serving.metrics import EndpointMetrics, ServingMetrics
 from repro.storage.online import FreshnessPolicy
@@ -93,16 +101,10 @@ class EnrichResult:
     degraded: bool = False
 
 
-@dataclass
-class _Attempt:
-    """Mutable bookkeeping for one deadline-bounded request."""
-
-    deadline: Deadline
-    last_error: Exception | None = None
-    attempts: int = 0
-
-    def remaining(self) -> float:
-        return self.deadline.remaining()
+#: how a read's budget runs out: retries spent on transient store errors,
+#: the deadline gone between attempts, or the deadline gone while waiting
+#: on a batched read (that wait is not retried)
+_BUDGET_ERRORS = (TransientStoreError, DeadlineExceededError, FutureTimeoutError)
 
 
 class ServingGateway(Service):
@@ -199,7 +201,7 @@ class ServingGateway(Service):
         start = time.monotonic()
         try:
             yield metrics
-        except Exception:
+        except Exception:  # noqa: BLE001 - counted, then re-raised
             metrics.errors.inc()
             raise
         finally:
@@ -227,70 +229,27 @@ class ServingGateway(Service):
         policy: FreshnessPolicy,
         stale_entry: CacheEntry | None,
         metrics: EndpointMetrics,
-        state: _Attempt,
+        error: Exception,
     ):
         """Budget exhausted: serve stale, default, or raise — per policy."""
         metrics.degraded.inc()
         if policy is FreshnessPolicy.RAISE:
             raise DeadlineExceededError(
-                f"request exhausted its deadline after {state.attempts} "
-                f"attempt(s); last error: {state.last_error!r}"
-            ) from state.last_error
+                f"request exhausted its budget; last error: {error!r}"
+            ) from error
         if policy is FreshnessPolicy.SERVE_ANYWAY and stale_entry is not None:
             metrics.stale_served.inc()
             return stale_entry.value
         return None  # RETURN_NONE, or SERVE_ANYWAY with nothing cached
 
-    def _read_with_retries(
-        self,
-        namespace: str,
-        entity_id: int,
-        policy: FreshnessPolicy,
-        state: _Attempt,
-        metrics: EndpointMetrics,
-    ):
-        """One point read: batched if possible, retried, deadline-bounded.
-
-        Raises ``TransientStoreError``/``FutureTimeoutError`` (wrapped into
-        ``state.last_error``) only indirectly: on exhaustion the caller
-        invokes :meth:`_degrade`. Returns the read value on success.
-
-        ``FreshnessPolicy.RAISE`` requests bypass the batcher: a batched
-        ``read_many`` raises for the *whole* group when any key is stale,
-        which would fail innocent co-batched requests.
-        """
-        use_batcher = (
-            self.batcher is not None and policy is not FreshnessPolicy.RAISE
+    def _retrying(self, read, deadline: Deadline, metrics: EndpointMetrics):
+        """``read()`` under the gateway's retry policy and ``deadline``."""
+        return retry_call(
+            read,
+            self._retry_policy,
+            deadline,
+            on_retry=lambda __: metrics.retries.inc(),
         )
-        while True:
-            remaining = state.remaining()
-            if remaining <= 0:
-                if state.last_error is None:
-                    state.last_error = DeadlineExceededError(
-                        f"deadline elapsed before a store read "
-                        f"({namespace!r}/{entity_id})"
-                    )
-                return _EXHAUSTED
-            state.attempts += 1
-            try:
-                if use_batcher:
-                    future = self.batcher.submit((namespace, policy), entity_id)
-                    try:
-                        return future.result(timeout=remaining)
-                    except FutureTimeoutError as exc:
-                        future.cancel()
-                        state.last_error = exc
-                        return _EXHAUSTED  # budget gone; no retry possible
-                else:
-                    return self.online.read(namespace, entity_id, policy)
-            except TransientStoreError as exc:
-                state.last_error = exc
-                if state.attempts > self._retry_policy.max_retries:
-                    return _EXHAUSTED
-                metrics.retries.inc()
-                state.deadline.sleep(
-                    self._retry_policy.backoff_for(state.attempts)
-                )
 
     # -- endpoints ------------------------------------------------------------
 
@@ -307,12 +266,29 @@ class ServingGateway(Service):
         fresh, entry = self._cache_lookup(key, metrics)
         if fresh:
             return entry.value, False  # type: ignore[union-attr]
-        state = _Attempt(
-            deadline=Deadline.after(deadline_s or self.config.default_deadline_s)
-        )
-        value = self._read_with_retries(namespace, entity_id, policy, state, metrics)
-        if value is _EXHAUSTED:
-            return self._degrade(policy, entry, metrics, state), True
+        deadline = Deadline.after(deadline_s or self.config.default_deadline_s)
+        # RAISE requests bypass the batcher: a batched ``read_many`` raises
+        # for the *whole* group when any key is stale, which would fail
+        # innocent co-batched requests.
+        if self.batcher is not None and policy is not FreshnessPolicy.RAISE:
+
+            def read():
+                future = self.batcher.submit((namespace, policy), entity_id)
+                try:
+                    return future.result(timeout=deadline.remaining())
+                except FutureTimeoutError:
+                    future.cancel()
+                    raise
+
+        else:
+
+            def read():
+                return self.online.read(namespace, entity_id, policy)
+
+        try:
+            value = self._retrying(read, deadline, metrics)
+        except _BUDGET_ERRORS as exc:
+            return self._degrade(policy, entry, metrics, exc), True
         if self.cache is not None and value is not None:
             self.cache.put(key, value)
         return value, False
@@ -353,19 +329,18 @@ class ServingGateway(Service):
                     stale[position] = entry
             if not missing:
                 return out
-            state = _Attempt(
-                deadline=Deadline.after(
-                    deadline_s or self.config.default_deadline_s
-                )
-            )
+            deadline = Deadline.after(deadline_s or self.config.default_deadline_s)
             missing_ids = [entity_ids[p] for p in missing]
-            values = self._batch_read_with_retries(
-                namespace, missing_ids, policy, state, metrics
-            )
-            if values is _EXHAUSTED:
+            try:
+                values = self._retrying(
+                    lambda: self.online.read_many(namespace, missing_ids, policy),
+                    deadline,
+                    metrics,
+                )
+            except _BUDGET_ERRORS as exc:
                 for position in missing:
                     out[position] = self._degrade(
-                        policy, stale[position], metrics, state
+                        policy, stale[position], metrics, exc
                     )
                 return out
             for position, value in zip(missing, values):
@@ -375,22 +350,6 @@ class ServingGateway(Service):
                         (self._FEATURE, namespace, entity_ids[position]), value
                     )
             return out
-
-    def _batch_read_with_retries(self, namespace, entity_ids, policy, state, metrics):
-        while True:
-            if state.remaining() <= 0:
-                return _EXHAUSTED
-            state.attempts += 1
-            try:
-                return self.online.read_many(namespace, entity_ids, policy)
-            except TransientStoreError as exc:
-                state.last_error = exc
-                if state.attempts > self._retry_policy.max_retries:
-                    return _EXHAUSTED
-                metrics.retries.inc()
-                state.deadline.sleep(
-                    self._retry_policy.backoff_for(state.attempts)
-                )
 
     def _serve_embeddings(
         self,
@@ -605,15 +564,3 @@ class ServingGateway(Service):
                 "mean_batch_size": self.batcher.mean_batch_size(),
             }
         return snap
-
-
-class _Exhausted:
-    """Sentinel: the retry loop ran out of budget (distinct from None)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<budget exhausted>"
-
-
-_EXHAUSTED = _Exhausted()

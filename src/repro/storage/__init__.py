@@ -32,6 +32,3 @@ __all__ = [
     "SharedScan",
     "TableSchema",
 ]
-
-# repro.storage.persistence is imported lazily by callers; it depends on
-# repro.core and importing it here would create a package cycle.

@@ -25,6 +25,7 @@ is the per-row definition each mask is held to by the parity suite.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -43,6 +44,12 @@ _OPERATORS = {
     "in": lambda a, b: a in b,
 }
 
+_ORDERINGS = frozenset({"<", "<=", ">", ">="})
+
+#: values ``in`` tests membership of; any other operator compares one
+#: value, and a container there would broadcast in :meth:`Predicate.mask`
+_CONTAINERS = (list, tuple, set, frozenset, dict, np.ndarray)
+
 _AGGREGATES = {
     "mean": np.mean,
     "sum": np.sum,
@@ -57,7 +64,13 @@ _VALUE_DTYPES = {"float": np.float64, "int": np.int64, "string": object}
 
 @dataclass(frozen=True)
 class Predicate:
-    """One column filter. NULL values never satisfy a comparison."""
+    """One column filter. NULL values never satisfy a comparison.
+
+    The value's shape is checked here (``in`` takes a container, every
+    other comparison one value) and its kind against the column by
+    :meth:`check_kind`, so a bad filter fails when the query is built,
+    whatever data the table holds.
+    """
 
     column: str
     op: str
@@ -68,6 +81,34 @@ class Predicate:
             raise ValidationError(
                 f"unknown operator {self.op!r}; allowed "
                 f"{sorted(_OPERATORS) + ['not_null']}"
+            )
+        if self.op == "in" and not isinstance(self.value, _CONTAINERS):
+            raise ValidationError(
+                f"operator 'in' on {self.column!r} needs a list, tuple, set, "
+                f"dict or array, got {type(self.value).__name__}"
+            )
+        if self.op not in ("in", "not_null") and isinstance(
+            self.value, _CONTAINERS
+        ):
+            raise ValidationError(
+                f"operator {self.op!r} on {self.column!r} compares one value, "
+                f"got a {type(self.value).__name__}"
+            )
+
+    def check_kind(self, kind: str) -> None:
+        """Reject an ordering whose value cannot be ordered against a
+        column of ``kind`` (``"string"`` needs a str, numeric kinds a
+        number)."""
+        if self.op not in _ORDERINGS:
+            return
+        if kind == "string":
+            ok = isinstance(self.value, str)
+        else:
+            ok = isinstance(self.value, numbers.Real)
+        if not ok:
+            raise ValidationError(
+                f"operator {self.op!r} on {kind} column {self.column!r} "
+                f"cannot take {self.value!r}"
             )
 
     def matches(self, row: dict[str, object]) -> bool:
@@ -128,7 +169,9 @@ class Query:
             raise ValidationError(
                 f"table {self.table.name!r} has no column {column!r}"
             )
-        self._predicates.append(Predicate(column=column, op=op, value=value))
+        predicate = Predicate(column=column, op=op, value=value)
+        predicate.check_kind(self.table.schema.column_kind(column))
+        self._predicates.append(predicate)
         return self
 
     def between(self, start: float | None, end: float | None) -> "Query":

@@ -1,4 +1,4 @@
-"""Codec property tests: error bounds, determinism, edges, state."""
+"""Codec property tests: error bounds, determinism, edges, registry."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ from repro.codec import (
     Fp32Codec,
     Int8Codec,
     PQCodec,
-    codec_from_state,
-    codec_to_state,
     make_codec,
 )
 from repro.errors import ValidationError
@@ -166,22 +164,3 @@ class TestRegistryAndState:
 
     def test_registry_covers_all_kinds(self):
         assert set(CODEC_KINDS) == {"fp32", "int8", "pq"}
-
-    @pytest.mark.parametrize("kind,kwargs", ALL_CODECS)
-    def test_state_roundtrip_produces_identical_codes(self, kind, kwargs):
-        vectors = _normalized(150, 32, seed=13)
-        codec = make_codec(kind, **kwargs).train(vectors)
-        restored = codec_from_state(codec_to_state(codec))
-        assert restored.is_trained
-        assert restored.kind == codec.kind
-        assert np.array_equal(
-            restored.encode(vectors).codes, codec.encode(vectors).codes
-        )
-
-    def test_state_unknown_kind_rejected(self):
-        with pytest.raises(ValidationError, match="unknown codec kind"):
-            codec_from_state({"kind": "zstd"})
-
-    def test_untrained_state_rejected(self):
-        with pytest.raises(ValidationError, match="untrained"):
-            codec_to_state(Int8Codec())

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import compile_plan, scan
+from repro.errors import ValidationError
 from repro.storage.offline import OfflineStore, TableSchema
 
 from tests.compiler.conftest import DAY, make_trips, rows_equal
@@ -108,10 +109,12 @@ class TestStringPredicateParity:
 
     def test_mismatched_type_raises_like_row_engine(self, trips):
         plan = scan("trips").filter("city", "<", 5).latest("fare")
+        # The reference meets the mismatch row by row; compiling binds
+        # the plan, which refuses it before any row is read.
         with pytest.raises(TypeError):
             plan.execute_rows(trips, AS_OF)
-        with pytest.raises(TypeError):
-            compile_plan(plan, trips).evaluate(AS_OF)
+        with pytest.raises(ValidationError, match="string column 'city'"):
+            compile_plan(plan, trips)
 
 
 class TestEdgeCases:
@@ -145,8 +148,6 @@ class TestEdgeCases:
         assert stats["rows_scanned"] + stats["rows_pruned"] == len(trips)
 
     def test_wrong_table_rejected(self, trips):
-        from repro.errors import ValidationError
-
         plan = scan("other").latest("fare")
         with pytest.raises(ValidationError):
             compile_plan(plan, trips)

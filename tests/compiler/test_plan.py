@@ -102,6 +102,20 @@ class TestBinding:
         with pytest.raises(ValidationError, match="numeric"):
             scan("trips").window("city", "count", 3600.0).bind(trip_schema())
 
+    def test_bind_rejects_ordering_against_the_wrong_kind(self):
+        plan = scan("trips").filter("city", ">=", 3).latest("fare")
+        with pytest.raises(ValidationError, match="string column 'city'"):
+            plan.bind(trip_schema())
+        plan = scan("trips").filter("fare", "<", "10").latest("fare")
+        with pytest.raises(ValidationError, match="float column 'fare'"):
+            plan.bind(trip_schema())
+
+    def test_filter_rejects_bad_value_shapes(self):
+        with pytest.raises(ValidationError, match="compares one value"):
+            scan("trips").filter("fare", "==", [1.0, 2.0])
+        with pytest.raises(ValidationError, match="'in'"):
+            scan("trips").filter("city", "in", "nyc")
+
     def test_unbound_feature_schema_raises(self):
         with pytest.raises(ValidationError, match="unbound"):
             scan("trips").latest("fare").feature_schema()

@@ -7,7 +7,6 @@ from repro.datagen.tabular import (
     RideEventConfig,
     TabularDataset,
     generate_ride_events,
-    generate_tabular,
 )
 from repro.errors import ValidationError
 
@@ -96,31 +95,13 @@ class TestRideEvents:
         assert (subset.entity_ids % 2 == 0).all()
 
 
-class TestGenerateTabular:
-    def test_numeric_specs_respected(self):
-        data = generate_tabular(
-            5000, numeric_specs={"x": (10.0, 2.0), "y": (-3.0, 0.5)}, seed=0
-        )
-        assert abs(np.nanmean(data.numeric["x"]) - 10.0) < 0.2
-        assert abs(np.nanmean(data.numeric["y"]) + 3.0) < 0.1
-
-    def test_categorical_cardinality(self):
-        data = generate_tabular(
-            1000,
-            numeric_specs={},
-            categorical_specs={"c": 4},
-            seed=0,
-        )
-        assert set(np.unique(data.categorical["c"])) <= {0, 1, 2, 3}
-        assert data.categorical_cardinality["c"] == 4
-
-    def test_rejects_zero_rows(self):
-        with pytest.raises(ValidationError):
-            generate_tabular(0, numeric_specs={"x": (0, 1)})
-
+class TestTabularDataset:
     def test_column_accessor(self):
-        data = generate_tabular(
-            10, numeric_specs={"x": (0, 1)}, categorical_specs={"c": 2}, seed=0
+        data = TabularDataset(
+            entity_ids=np.arange(3),
+            timestamps=np.arange(3, dtype=float),
+            numeric={"x": np.array([0.5, np.nan, 1.5])},
+            categorical={"c": np.array([0, 1, -1])},
         )
         assert data.column("x") is data.numeric["x"]
         assert data.column("c") is data.categorical["c"]
@@ -133,5 +114,12 @@ class TestGenerateTabular:
                 entity_ids=np.arange(3),
                 timestamps=np.arange(2, dtype=float),
                 numeric={},
+                categorical={},
+            )
+        with pytest.raises(ValidationError):
+            TabularDataset(
+                entity_ids=np.arange(3),
+                timestamps=np.arange(3, dtype=float),
+                numeric={"x": np.zeros(2)},
                 categorical={},
             )

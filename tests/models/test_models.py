@@ -1,11 +1,10 @@
-"""Tests for repro.models (linear, mlp, preprocess)."""
+"""Tests for repro.models (linear, preprocess)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import TrainingError, ValidationError
 from repro.models.linear import LogisticRegression
-from repro.models.mlp import MLPClassifier
 from repro.models.preprocess import MeanImputer, StandardScaler
 
 
@@ -94,44 +93,6 @@ class TestLogisticRegression:
         np.testing.assert_array_equal(
             model.decision_scores(X).argmax(axis=1), model.predict(X)
         )
-
-
-class TestMLP:
-    def test_learns_nonlinear_boundary(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(1000, 2))
-        y = ((X[:, 0] * X[:, 1]) > 0).astype(np.int64)  # XOR-like
-        model = MLPClassifier(hidden=32, epochs=80, seed=0).fit(X, y)
-        assert np.mean(model.predict(X) == y) > 0.9
-        # A linear model cannot do much better than chance here.
-        linear = LogisticRegression().fit(X, y)
-        assert np.mean(linear.predict(X) == y) < 0.6
-
-    def test_multiclass(self, multiclass_task):
-        X, y = multiclass_task
-        model = MLPClassifier(hidden=16, epochs=40, seed=0).fit(X, y)
-        assert np.mean(model.predict(X) == y) > 0.9
-
-    def test_seeded_determinism(self, multiclass_task):
-        X, y = multiclass_task
-        a = MLPClassifier(seed=7, epochs=10).fit(X, y)
-        b = MLPClassifier(seed=7, epochs=10).fit(X, y)
-        np.testing.assert_allclose(a.w1, b.w1)
-        np.testing.assert_allclose(a.w2, b.w2)
-
-    def test_rejects_nan(self):
-        with pytest.raises(TrainingError):
-            MLPClassifier().fit(np.array([[np.nan]]), np.array([0]))
-
-    def test_unfitted_raises(self):
-        with pytest.raises(TrainingError):
-            MLPClassifier().predict(np.zeros((1, 2)))
-
-    def test_invalid_hyperparameters(self):
-        with pytest.raises(ValidationError):
-            MLPClassifier(hidden=0)
-        with pytest.raises(ValidationError):
-            MLPClassifier(l2=-0.1)
 
 
 class TestMeanImputer:

@@ -259,6 +259,55 @@ class TestRobustness:
                 )
 
 
+class _AlwaysTransient:
+    """An online store whose every read fails transiently; counts calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def read(self, namespace, entity_id, policy):
+        self.calls += 1
+        raise TransientStoreError("store down")
+
+    def read_many(self, namespace, entity_ids, policy):
+        self.calls += 1
+        raise TransientStoreError("store down")
+
+
+class TestRetryCounts:
+    """Each read path makes ``max_retries + 1`` store calls, then degrades."""
+
+    MAX_RETRIES = 3
+
+    @pytest.mark.parametrize(
+        "path", ["batched_point", "direct_raise", "batch_endpoint"]
+    )
+    def test_exhausted_retries_are_counted(self, path):
+        store = _AlwaysTransient()
+        with make_gateway(
+            store,
+            max_retries=self.MAX_RETRIES,
+            retry_backoff_s=0.0,
+            default_deadline_s=30.0,  # retries, not the deadline, end it
+        ) as gateway:
+            if path == "batched_point":
+                assert gateway.get_features("stats", 1) is None
+                endpoint = "get_features"
+            elif path == "direct_raise":
+                with pytest.raises(DeadlineExceededError) as excinfo:
+                    gateway.get_features("stats", 1, policy=FreshnessPolicy.RAISE)
+                assert isinstance(excinfo.value.__cause__, TransientStoreError)
+                endpoint = "get_features"
+            else:
+                assert gateway.get_features_batch("stats", [1, 2]) == [None, None]
+                endpoint = "get_features_batch"
+            metrics = gateway.metrics.endpoint(endpoint)
+            assert store.calls == self.MAX_RETRIES + 1
+            assert metrics.retries.value == self.MAX_RETRIES
+            if path == "batched_point":
+                assert gateway.batcher.batches.value == self.MAX_RETRIES + 1
+
+
 class TestEmbeddingServing:
     def test_rows_match_store(self, online, embeddings):
         with make_gateway(online, embeddings) as gateway:

@@ -25,6 +25,7 @@ from repro.core import (
     FeatureView,
     WindowAggregate,
 )
+from repro.errors import ValidationError
 from repro.storage import OfflineTable, Query, TableSchema
 
 from tests.storage import row_reference
@@ -243,10 +244,12 @@ class TestQueryParity:
 
     def test_mismatched_type_comparison_raises_like_reference(self):
         table = self._build(seed=23)
+        # The reference meets the mismatch row by row; the query refuses
+        # it when it is built.
         with pytest.raises(TypeError):
             row_reference.query_rows(table, [("s", "<", 1)])
-        with pytest.raises(TypeError):
-            Query(table).where("s", "<", 1).count()
+        with pytest.raises(ValidationError):
+            Query(table).where("s", "<", 1)
 
     def test_query_sees_appends_after_vectorized_run(self):
         table = self._build(seed=17, n=60)

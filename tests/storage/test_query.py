@@ -63,6 +63,63 @@ class TestPredicates:
             Query(table).where("fare", "~~", 1)
 
 
+class TestPredicateValues:
+    """Bad predicate values fail when the query is built, whatever the data."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [[10.0], [10.0, 20.0], (10.0,), {10.0}, {10.0: 1}, np.array([10.0])],
+        ids=["list1", "list2", "tuple", "set", "dict", "ndarray"],
+    )
+    def test_comparison_rejects_a_container(self, table, value):
+        # A one-element list used to broadcast in the mask (matching the
+        # 10.0 row, where the row definition 10.0 == [10.0] matches none)
+        # and a two-element one to raise numpy's broadcast ValueError.
+        for op in ("==", "!=", "<", "<=", ">", ">="):
+            with pytest.raises(ValidationError, match="compares one value"):
+                Query(table).where("fare", op, value)
+
+    @pytest.mark.parametrize("value", [1, 1.5, "a", None])
+    def test_in_rejects_a_non_container(self, table, value):
+        with pytest.raises(ValidationError, match="'in'"):
+            Query(table).where("city", "in", value)
+
+    @pytest.mark.parametrize(
+        "value", [[0, 1], (0, 1), {0, 1}, {0: "a", 1: "b"}, np.array([0, 1])]
+    )
+    def test_in_accepts_containers(self, table, value):
+        assert Query(table).where("city", "in", value).count() == 4
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_ordering_checks_the_column_kind(self, op):
+        table = OfflineTable(
+            "t", TableSchema(columns={"x": "float", "s": "string"})
+        )
+        with pytest.raises(ValidationError, match="string column 's'"):
+            Query(table).where("s", op, 1)
+        with pytest.raises(ValidationError, match="float column 'x'"):
+            Query(table).where("x", op, "a")
+        with pytest.raises(ValidationError, match="int column 'entity_id'"):
+            Query(table).where("entity_id", op, None)
+        assert Query(table).where("s", op, "a").count() == 0
+        assert Query(table).where("x", op, np.int64(1)).count() == 0
+
+    def test_kind_mismatch_fails_before_any_row_reaches_it(self):
+        table = OfflineTable(
+            "t", TableSchema(columns={"x": "float", "s": "string"})
+        )
+        table.append(
+            [{"entity_id": 1, "timestamp": 0.0, "x": 1.0, "s": "a"}]
+        )
+        # No row passes x > 9, so the mask never compared "a" < 1.
+        with pytest.raises(ValidationError):
+            Query(table).where("x", ">", 9.0).where("s", "<", 1)
+
+    def test_equality_across_kinds_stays_legal(self, table):
+        assert Query(table).where("fare", "==", "10").count() == 0
+        assert Query(table).where("fare", "not_null", [1]).count() == 4
+
+
 class TestTimeRangeAndProjection:
     def test_between_half_open(self, table):
         assert Query(table).between(0.2 * DAY, 1.2 * DAY).count() == 2

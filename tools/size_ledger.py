@@ -16,6 +16,10 @@ PR that adds a package, a module or an exported name shows it here.
   ``__all__`` entries do not count, and a name shared with another def
   hides both, so the column is a lower bound.
 
+After the table, one ``repro.<package>.<module>:<name>`` line per
+test-only def names what the column counts, so a new one shows up by
+name in review.
+
 ::
 
     python tools/size_ledger.py                  # print
@@ -72,8 +76,15 @@ def used_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def ledger() -> list[tuple[str, int, int, int, int]]:
-    """(unit, modules, lines, public names, test-only defs) per package.
+def module_name(path: Path) -> str:
+    """Dotted import name of a ``src/repro`` file."""
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def ledger() -> tuple[list[tuple[str, int, int, int, int]], list[str]]:
+    """Rows of (unit, modules, lines, public names, test-only defs) per
+    package, plus the ``module:name`` of every test-only def.
 
     Top-level modules are one unit.
     """
@@ -86,12 +97,17 @@ def ledger() -> list[tuple[str, int, int, int, int]]:
     }
     uses = {path: used_names(tree) for path, tree in trees.items()}
 
+    unused: list[str] = []
+
     def test_only(files: list[Path]) -> int:
-        return sum(
-            not any(name in names for other, names in uses.items() if other != path)
+        found = [
+            f"{module_name(path)}:{name}"
             for path in files
             for name in public_defs(trees[path])
-        )
+            if not any(name in names for other, names in uses.items() if other != path)
+        ]
+        unused.extend(found)
+        return len(found)
 
     rows = []
     for package in sorted(p for p in SRC.iterdir() if (p / "__init__.py").exists()):
@@ -111,11 +127,11 @@ def ledger() -> list[tuple[str, int, int, int, int]]:
         public_names(SRC / "__init__.py"),
         test_only(loose),
     ))
-    return rows
+    return rows, unused
 
 
 def main() -> int:
-    rows = ledger()
+    rows, test_only_defs = ledger()
     width = max(len(r[0]) for r in rows)
     print(
         f"{'package':<{width}}  {'modules':>7}  {'lines':>6}  {'public':>6}  "
@@ -131,6 +147,10 @@ def main() -> int:
         f"{sum(r[2] for r in rows):>6}  {sum(r[3] for r in rows):>6}  "
         f"{sum(r[4] for r in rows):>9}"
     )
+    print()
+    print("test-only public defs:")
+    for name in test_only_defs:
+        print(f"  {name}")
     return 0
 
 

@@ -3,7 +3,8 @@
 Demonstrates what "embeddings as first-class citizens" buys:
 
 1. versioned registration with automatic quality metrics and provenance,
-2. similarity search through pluggable vector indexes,
+2. similarity search: a ``VectorService`` serves the version as an HNSW
+   table,
 3. the stale-embedding hazard — a retrained embedding served to an old model
    is blocked by the compatibility check (and demonstrably harmful when
    overridden),
@@ -30,6 +31,7 @@ from repro.models import LogisticRegression
 from repro.monitoring import EmbeddingDriftMonitor
 from repro.ned import tail_entity_ids
 from repro.patching import EmbeddingPatcher
+from repro.vecserve import VectorService
 
 
 def main() -> None:
@@ -51,9 +53,10 @@ def main() -> None:
     print(f"registered {v1.key}: metrics {{n: {v1.metrics['n']:.0f}, "
           f"dim: {v1.metrics['dim']:.0f}}}")
 
-    # 2. Similarity search with an ANN index.
-    query = entity_emb.vectors[3]
-    hits = store.search("product_entities", query, k=5, index_kind="hnsw")
+    # 2. Similarity search: the vector service serves v1 as an HNSW table.
+    with VectorService(embeddings=store) as service:
+        service.enable("product_entities", backend="hnsw", n_shards=1)
+        hits = service.search("product_entities", entity_emb.vectors[3], k=5)
     print(f"hnsw search for entity 3's vector -> neighbours {hits.ids.tolist()}")
 
     # 3. A downstream model trains against v1 and pins it.

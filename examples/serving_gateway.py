@@ -1,7 +1,8 @@
 """The serving gateway: batched, cached, degradable feature serving.
 
 Walks the serving tier end to end (paper sections 2.2.2 and 3): an
-``OnlineStore`` and an ``EmbeddingStore`` go behind one ``ServingGateway``;
+``OnlineStore``, an ``EmbeddingStore`` and a ``VectorService`` serving its
+k-NN tables go behind one ``ServingGateway``;
 concurrent clients hammer it through the Zipfian closed-loop generator; a
 flaky store (injected timeouts) shows graceful degradation serving stale
 cached values instead of erroring; and the dashboard renders the gateway's
@@ -27,6 +28,7 @@ from repro.serving import (
     run_closed_loop,
 )
 from repro.storage.online import FreshnessPolicy, OnlineStore
+from repro.vecserve import VectorService
 
 N_DRIVERS = 500
 DIM = 8
@@ -57,18 +59,20 @@ def main() -> None:
     online, embeddings = build_stores(clock)
 
     print("== one gateway in front of both stores ==")
-    with ServingGateway(
+    with VectorService(embeddings=embeddings) as vectors, ServingGateway(
         online,
         embeddings,
         config=GatewayConfig(cache_capacity=256, hot_capacity=32, n_workers=4),
+        vectors=vectors,
     ) as gateway:
+        vectors.enable("driver_emb", backend="brute", n_shards=1)
         enriched = gateway.enrich("driver_stats", 7, "driver_emb")
         print(
             f"enrich(driver=7): features={enriched.features} "
             f"embedding[:3]={np.round(enriched.embedding[:3], 3)} "
             f"(version {enriched.embedding_version})"
         )
-        neighbors = gateway.nearest_neighbors(
+        neighbors = gateway.search_neighbors(
             "driver_emb", enriched.embedding, k=3
         )
         print(f"3 nearest drivers by embedding: {list(neighbors.ids)}")

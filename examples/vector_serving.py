@@ -7,8 +7,8 @@ recall that is measured in production rather than assumed from build
 time. This example walks the loop:
 
 1. register an embedding version and serve it, sharded, over HNSW,
-2. query through the EmbeddingStore (which routes to the plane) and
-   through the ServingGateway's ``search_neighbors`` endpoint,
+2. query the service directly and through the ServingGateway's
+   ``search_neighbors`` endpoint — the same plane either way,
 3. upsert fresh vectors and tombstone dead ones — both visible before
    any index rebuild (the exact delta serves the young rows),
 4. run a blue/green compaction: the next generation is built off to the
@@ -59,13 +59,13 @@ def main() -> None:
         )
         print(f"serving: {service.served_tables()}")
 
-        # 2. Queries route through the plane — from the store's own API
+        # 2. Queries route through the plane — from the service's own API
         #    and from the gateway endpoint alike.
         query = vectors[7] + 0.05 * rng.normal(size=DIM)
-        via_store = store.search("products", query, k=5)
+        via_service = service.search("products", query, k=5)
         gateway = ServingGateway(OnlineStore(), embeddings=store, vectors=service)
         via_gateway = gateway.search_neighbors("products", query, k=5)
-        print(f"store route   top-5: {via_store.ids.tolist()}")
+        print(f"service route top-5: {via_service.ids.tolist()}")
         print(f"gateway route top-5: {via_gateway.ids.tolist()}")
 
         # 3. Live mutations: a fresh vector is queryable immediately (it

@@ -4,8 +4,9 @@
   (paper part 1): registry, dual datastore, materialization, point-in-time
   training sets, online serving.
 * :mod:`repro.core.embedding_store` — embeddings as first-class citizens
-  (paper parts 2-3): versioning, provenance, search, quality metrics and
-  model/embedding compatibility enforcement.
+  (paper parts 2-3): versioning, provenance, quality metrics and
+  model/embedding compatibility enforcement. k-NN search over a stored
+  version goes through :class:`repro.vecserve.VectorService`.
 """
 
 from repro.core.embedding_store import (

@@ -14,7 +14,9 @@ The store provides:
 * **quality metrics** — on registration, each version is automatically
   compared against its predecessor (neighbourhood Jaccard, aligned
   displacement) and the scores are stored;
-* **search** — per-version vector indexes (brute/LSH/IVF/HNSW) built lazily;
+* **search** — through a :class:`repro.vecserve.VectorService` built on
+  the store (``VectorService(embeddings=store).enable(name, ...)``), which
+  serves each version as a sharded k-NN table;
 * **compatibility enforcement** — serving a version to a model pinned to a
   different version raises :class:`~repro.errors.CompatibilityError` unless
   the pair was explicitly marked compatible (the paper's "dot product ...
@@ -42,24 +44,9 @@ from repro.errors import (
     NotRegisteredError,
     ValidationError,
 )
-from repro.index import (
-    BruteForceIndex,
-    HNSWIndex,
-    IVFFlatIndex,
-    LSHIndex,
-    SearchResult,
-    VectorIndex,
-)
 from repro.runtime.telemetry import MetricsRegistry
 
 logger = logging.getLogger(__name__)
-
-_INDEX_FACTORIES = {
-    "brute": BruteForceIndex,
-    "lsh": LSHIndex,
-    "ivf": IVFFlatIndex,
-    "hnsw": HNSWIndex,
-}
 
 
 @dataclass(frozen=True)
@@ -93,12 +80,11 @@ class EmbeddingVersion:
 class EmbeddingStore:
     """Versioned, provenance-tracked embedding registry with serving.
 
-    Thread safety: registration, compatibility mutation, lazy index builds
-    and the serve-count bookkeeping are guarded by an internal
+    Thread safety: registration, compatibility mutation and the
+    serve-count bookkeeping are guarded by an internal
     :class:`threading.RLock`, so the serving gateway's worker pool can
-    call :meth:`search` / :meth:`vectors_for_model` concurrently with
-    registrations without corrupting the version lists or building the
-    same index twice.
+    call :meth:`vectors_for_model` concurrently with registrations
+    without corrupting the version lists.
     """
 
     def __init__(
@@ -109,19 +95,17 @@ class EmbeddingStore:
     ) -> None:
         self._clock = clock or WallClock()
         self._versions: dict[str, list[EmbeddingVersion]] = {}
-        self._indexes: dict[tuple[str, int, str], VectorIndex] = {}
         self._compatible: set[tuple[str, int, int]] = set()
         self._lock = threading.RLock()
         self._register_listeners: list = []
-        self._vector_service = None  # attached repro.vecserve.VectorService
         self.quality_knn_k = quality_knn_k
-        self.read_count = 0  # serving-side reads (search + vectors_for_model)
+        self.read_count = 0  # serving-side reads (vectors_for_model)
         # Optional telemetry: per-table resident bytes as a live gauge,
         # so a compression win (or an accidental fp64 blow-up) shows in
         # the metrics export, not just in a benchmark artifact.
         self.registry = registry
 
-    # -- serving-plane attachment ---------------------------------------------
+    # -- registration listeners -----------------------------------------------
 
     def add_register_listener(self, callback) -> None:
         """Subscribe ``callback(EmbeddingVersion)`` to new registrations.
@@ -137,17 +121,6 @@ class EmbeddingStore:
         with self._lock:
             if callback in self._register_listeners:
                 self._register_listeners.remove(callback)
-
-    def attach_vector_service(self, service) -> None:
-        """Route :meth:`search` through a ``repro.vecserve.VectorService``.
-
-        When the attached service serves the resolved ``(name, version)``
-        table, searches hit the sharded/monitored ANN plane instead of
-        the store's lazily built single index; versions the service does
-        not serve fall back to the legacy path. Pass ``None`` to detach.
-        """
-        with self._lock:
-            self._vector_service = service
 
     # -- registration --------------------------------------------------------
 
@@ -268,112 +241,6 @@ class EmbeddingStore:
             chain.append(record)
             current = record.provenance.parent_version
         return chain
-
-    # -- search ----------------------------------------------------------------
-
-    def search(
-        self,
-        name: str,
-        query: np.ndarray,
-        k: int = 10,
-        version: int | None = None,
-        index_kind: str = "brute",
-    ) -> SearchResult:
-        """k-NN over a stored version, with a lazily built per-version index.
-
-        When a vector service is attached (see
-        :meth:`attach_vector_service`) and serves this version, the query
-        routes through its sharded, delta-merged, recall-monitored plane
-        — ``index_kind`` then describes only the *fallback* path, the
-        service's own backend decides how the routed query is answered.
-        """
-        if index_kind not in _INDEX_FACTORIES:
-            raise ValidationError(
-                f"unknown index kind {index_kind!r}; allowed {sorted(_INDEX_FACTORIES)}"
-            )
-        record = self.get(name, version)
-        with self._lock:
-            service = self._vector_service
-        if service is not None and service.serves(name, record.version):
-            with self._lock:
-                self.read_count += 1
-            return service.search(name, query, k=k, version=record.version)
-        cache_key = (name, record.version, index_kind)
-        with self._lock:
-            self.read_count += 1
-            index = self._indexes.get(cache_key)
-            if index is None:
-                # Built under the lock so concurrent first queries on the
-                # same version cannot race to build (and clobber) the index.
-                index = _INDEX_FACTORIES[index_kind]()
-                index.build(record.embedding.vectors)
-                self._indexes[cache_key] = index
-        return index.query(np.asarray(query, dtype=float), k)
-
-    def search_filtered(
-        self,
-        name: str,
-        query: np.ndarray,
-        allowed_ids: np.ndarray,
-        k: int = 10,
-        version: int | None = None,
-    ) -> SearchResult:
-        """k-NN restricted to a caller-supplied id set (exact).
-
-        Filtered search ("nearest products of this category", "entities of
-        this type") is the bread-and-butter embedding-store query shape; it
-        is answered exactly by scoring only the allowed rows.
-        """
-        record = self.get(name, version)
-        allowed_ids = np.asarray(allowed_ids, dtype=np.int64)
-        if len(allowed_ids) == 0:
-            raise ValidationError("allowed_ids is empty")
-        if allowed_ids.min() < 0 or allowed_ids.max() >= record.embedding.n:
-            raise ValidationError("allowed_ids out of range")
-        vectors = record.embedding.vectors
-        query = np.asarray(query, dtype=float)
-        norms = np.linalg.norm(vectors[allowed_ids], axis=1)
-        qnorm = np.linalg.norm(query)
-        denom = norms * (qnorm if qnorm > 0 else 1.0)
-        denom[denom == 0] = 1e-12
-        scores = (vectors[allowed_ids] @ query) / denom
-        k = min(k, len(allowed_ids))
-        top = np.argpartition(-scores, kth=k - 1)[:k]
-        order = np.argsort(-scores[top])
-        keep = top[order]
-        return SearchResult(ids=allowed_ids[keep], scores=scores[keep])
-
-    def analogy(
-        self,
-        name: str,
-        positive: list[int],
-        negative: list[int],
-        k: int = 10,
-        version: int | None = None,
-    ) -> SearchResult:
-        """Vector-arithmetic analogy query: sum(positive) - sum(negative).
-
-        The classic "a is to b as c is to ?" pattern
-        (``positive=[b, c], negative=[a]``). Input ids are excluded from the
-        results, matching word2vec convention.
-        """
-        record = self.get(name, version)
-        if not positive:
-            raise ValidationError("analogy needs at least one positive id")
-        ids = positive + negative
-        if min(ids) < 0 or max(ids) >= record.embedding.n:
-            raise ValidationError("analogy ids out of range")
-        normalized = record.embedding.normalized()
-        query = normalized[positive].sum(axis=0) - (
-            normalized[negative].sum(axis=0) if negative else 0.0
-        )
-        result = self.search(
-            name, query, k=k + len(ids), version=version, index_kind="brute"
-        )
-        exclude = set(ids)
-        keep = [i for i, rid in enumerate(result.ids) if int(rid) not in exclude]
-        keep = keep[:k]
-        return SearchResult(ids=result.ids[keep], scores=result.scores[keep])
 
     # -- compatibility & serving ---------------------------------------------
 

@@ -4,10 +4,11 @@ The paper's product surface (§2.2.2, §3) is low-latency serving of
 features *and* embeddings to deployed models. This package is that tier:
 
 * :mod:`repro.serving.gateway` — the :class:`ServingGateway` request API
-  (``get_features`` / ``get_embeddings`` / ``nearest_neighbors`` / fused
-  ``enrich``) with deadlines, retries, graceful degradation and
-  micro-batched point reads (a :class:`repro.runtime.Batcher` grouping
-  lookups by ``(namespace, policy)``);
+  (``get_features`` / ``get_embeddings`` / ``search_neighbors`` over a
+  :class:`repro.vecserve.VectorService` / fused ``enrich``) with
+  deadlines, retries, graceful degradation and micro-batched point reads
+  (a :class:`repro.runtime.Batcher` grouping lookups by
+  ``(namespace, policy)``);
 * :mod:`repro.serving.cache` — read-through LRU+TTL cache with a
   Zipfian-aware hot-key tier and write-path invalidation;
 * :mod:`repro.serving.faults` — fault-injecting store wrapper (latency,

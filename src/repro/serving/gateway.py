@@ -7,9 +7,10 @@ geo-distributed feature store ships an online gateway with caching and
 SLO monitoring; see PAPERS.md); this module is that tier for ``repro``:
 
 * **one API** — :meth:`get_features`, :meth:`get_embeddings`,
-  :meth:`nearest_neighbors`, and the fused :meth:`enrich` that returns a
-  feature vector plus the compatibility-checked embedding row in a single
-  round trip;
+  :meth:`search_neighbors` (k-NN over the attached
+  :class:`~repro.vecserve.VectorService`, the one vector search path),
+  and the fused :meth:`enrich` that returns a feature vector plus the
+  compatibility-checked embedding row in a single round trip;
 * **micro-batching** — concurrent point lookups coalesce into one
   ``read_many`` per ``(namespace, policy)`` group, through a
   :class:`repro.runtime.Batcher`;
@@ -423,22 +424,6 @@ class ServingGateway(Service):
             )
             return rows
 
-    def nearest_neighbors(
-        self,
-        name: str,
-        query: np.ndarray,
-        k: int = 10,
-        version: int | None = None,
-        index_kind: str = "brute",
-    ):
-        """k-NN over a stored embedding version (lazily indexed)."""
-        with self._observe("nearest_neighbors"):
-            if self.embeddings is None:
-                raise ValidationError("gateway was built without an EmbeddingStore")
-            return self.embeddings.search(
-                name, query, k=k, version=version, index_kind=index_kind
-            )
-
     def search_neighbors(
         self,
         name: str,
@@ -449,9 +434,8 @@ class ServingGateway(Service):
     ):
         """Top-k over the live vector serving plane (``repro.vecserve``).
 
-        Unlike :meth:`nearest_neighbors` (a lazily indexed scan of a
-        sealed store version), this endpoint hits the attached
-        :class:`~repro.vecserve.service.VectorService`: sharded
+        The gateway's one vector endpoint: it hits the attached
+        :class:`~repro.vecserve.service.VectorService` — sharded
         scatter-gather, delta-fresh upserts, blue/green rebuilds and
         sampled recall monitoring — and, when the service was built with
         ``batch_queries=True``, concurrent callers coalesce into
@@ -469,25 +453,6 @@ class ServingGateway(Service):
             if getattr(result, "partial", False):
                 metrics.degraded.inc()
             return result
-
-    def search_neighbors_batch(
-        self,
-        name: str,
-        queries: np.ndarray,
-        k: int = 10,
-        version: int | None = None,
-        deadline_s: float | None = None,
-    ):
-        """Explicitly batched :meth:`search_neighbors` (one fan-out)."""
-        with self._observe("search_neighbors") as metrics:
-            if self.vectors is None:
-                raise ValidationError("gateway was built without a VectorService")
-            results = self.vectors.search_batch(
-                name, queries, k=k, version=version, deadline_s=deadline_s
-            )
-            if any(getattr(r, "partial", False) for r in results):
-                metrics.degraded.inc()
-            return results
 
     def enrich(
         self,

@@ -2,7 +2,8 @@
 
 Each aggregator consumes events one at a time (event-time ordered per
 entity) and can report the current aggregate for any entity. They are the
-streaming counterparts of the batch :class:`repro.core.transforms.WindowAggregate`.
+streaming counterparts of the batch :class:`repro.core.transforms.WindowAggregate`,
+and apply its exact aggregation functions (:func:`repro.core.aggregate_fn`).
 """
 
 from __future__ import annotations
@@ -12,25 +13,9 @@ from collections import deque
 
 import numpy as np
 
+from repro.core import aggregate_fn
 from repro.datagen.streams import StreamEvent
 from repro.errors import ValidationError
-
-_SUPPORTED = {"mean", "sum", "count", "min", "max"}
-
-
-def _aggregate(agg: str, values: list[float]) -> float | None:
-    if not values:
-        return 0.0 if agg == "count" else None
-    array = np.asarray(values)
-    if agg == "mean":
-        return float(array.mean())
-    if agg == "sum":
-        return float(array.sum())
-    if agg == "count":
-        return float(len(array))
-    if agg == "min":
-        return float(array.min())
-    return float(array.max())
 
 
 class StreamAggregator(ABC):
@@ -45,7 +30,25 @@ class StreamAggregator(ABC):
         """Current aggregate for an entity as of ``now`` (None = no data)."""
 
 
-class TumblingWindowAggregator(StreamAggregator):
+class _WindowAggregator(StreamAggregator):
+    """A named aggregation (any of :func:`repro.core.available_aggregations`)
+    over a window of ``width`` seconds."""
+
+    def __init__(self, agg: str, width: float) -> None:
+        self._fn = aggregate_fn(agg)  # ValidationError for an unknown name
+        if width <= 0:
+            raise ValidationError(f"width must be positive ({width=})")
+        self.agg = agg
+        self.width = width
+
+    def _aggregate(self, values: list[float]) -> float | None:
+        """The batch rule: an empty window is 0.0 for ``count``, else None."""
+        if not values:
+            return 0.0 if self.agg == "count" else None
+        return self._fn(np.asarray(values, dtype=float))
+
+
+class TumblingWindowAggregator(_WindowAggregator):
     """Fixed, non-overlapping windows of ``width`` seconds.
 
     ``value`` reports the aggregate of the most recent *closed* window at or
@@ -54,12 +57,7 @@ class TumblingWindowAggregator(StreamAggregator):
     """
 
     def __init__(self, agg: str, width: float) -> None:
-        if agg not in _SUPPORTED:
-            raise ValidationError(f"unsupported agg {agg!r}; allowed {sorted(_SUPPORTED)}")
-        if width <= 0:
-            raise ValidationError(f"width must be positive ({width=})")
-        self.agg = agg
-        self.width = width
+        super().__init__(agg, width)
         self._windows: dict[int, dict[int, list[float]]] = {}
 
     def _window_index(self, timestamp: float) -> int:
@@ -77,7 +75,7 @@ class TumblingWindowAggregator(StreamAggregator):
         closed = [i for i in windows if i < open_index]
         if not closed:
             return None
-        return _aggregate(self.agg, windows[max(closed)])
+        return self._aggregate(windows[max(closed)])
 
     def open_window_value(self, entity_id: int, now: float) -> float | None:
         """Aggregate of the still-open window (for eager serving)."""
@@ -87,10 +85,10 @@ class TumblingWindowAggregator(StreamAggregator):
         values = windows.get(self._window_index(now))
         if values is None:
             return None
-        return _aggregate(self.agg, values)
+        return self._aggregate(values)
 
 
-class SlidingWindowAggregator(StreamAggregator):
+class SlidingWindowAggregator(_WindowAggregator):
     """Trailing window of ``width`` seconds ending at query time.
 
     Events older than ``now - width`` are evicted lazily at query/update
@@ -98,12 +96,7 @@ class SlidingWindowAggregator(StreamAggregator):
     """
 
     def __init__(self, agg: str, width: float) -> None:
-        if agg not in _SUPPORTED:
-            raise ValidationError(f"unsupported agg {agg!r}; allowed {sorted(_SUPPORTED)}")
-        if width <= 0:
-            raise ValidationError(f"width must be positive ({width=})")
-        self.agg = agg
-        self.width = width
+        super().__init__(agg, width)
         self._events: dict[int, deque[tuple[float, float]]] = {}
 
     def update(self, event: StreamEvent) -> None:
@@ -121,10 +114,7 @@ class SlidingWindowAggregator(StreamAggregator):
         if queue is None:
             return None
         self._evict(queue, now)
-        values = [v for ts, v in queue if ts <= now]
-        if not values:
-            return 0.0 if self.agg == "count" else None
-        return _aggregate(self.agg, values)
+        return self._aggregate([v for ts, v in queue if ts <= now])
 
 
 class EwmaAggregator(StreamAggregator):

@@ -142,7 +142,6 @@ class VectorService(Service):
             )
         if self.embeddings is not None:
             self.embeddings.add_register_listener(self._on_register)
-            self.embeddings.attach_vector_service(self)
 
     def _on_stop(self) -> None:
         self.stop_auto_compaction()
@@ -150,7 +149,6 @@ class VectorService(Service):
             self.batcher.stop()
         if self.embeddings is not None:
             self.embeddings.remove_register_listener(self._on_register)
-            self.embeddings.attach_vector_service(None)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
 
@@ -300,12 +298,6 @@ class VectorService(Service):
                 self._latest[name] = max(remaining)
             else:
                 self._latest.pop(name, None)
-
-    def serves(self, name: str, version: int | None = None) -> bool:
-        with self._lock:
-            if version is None:
-                return name in self._latest
-            return (name, version) in self._tables
 
     def served_tables(self) -> list[tuple[str, int]]:
         with self._lock:

@@ -92,34 +92,6 @@ class TestProvenance:
         assert [r.version for r in store.provenance_chain("words", 1)] == [1]
 
 
-class TestSearch:
-    def test_search_finds_self(self, store, base_embedding):
-        store.register("words", base_embedding, prov())
-        result = store.search("words", base_embedding.vectors[3], k=1)
-        assert result.ids[0] == 3
-
-    def test_index_cached_per_version_and_kind(self, store, base_embedding):
-        store.register("words", base_embedding, prov())
-        store.search("words", base_embedding.vectors[0], k=1, index_kind="brute")
-        store.search("words", base_embedding.vectors[0], k=1, index_kind="brute")
-        assert len(store._indexes) == 1
-        store.search("words", base_embedding.vectors[0], k=1, index_kind="hnsw")
-        assert len(store._indexes) == 2
-
-    def test_all_index_kinds_work(self, store, base_embedding):
-        store.register("words", base_embedding, prov())
-        for kind in ("brute", "lsh", "ivf", "hnsw"):
-            result = store.search(
-                "words", base_embedding.vectors[5], k=3, index_kind=kind
-            )
-            assert len(result) == 3
-
-    def test_unknown_index_kind(self, store, base_embedding):
-        store.register("words", base_embedding, prov())
-        with pytest.raises(ValidationError):
-            store.search("words", base_embedding.vectors[0], index_kind="faiss")
-
-
 class TestCompatibility:
     def test_same_version_always_compatible(self, store, base_embedding):
         store.register("words", base_embedding, prov())

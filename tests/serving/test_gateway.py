@@ -351,19 +351,10 @@ class TestEmbeddingServing:
             rows = gateway.get_embeddings("ent", [])
             assert rows.shape == (0, DIM)
 
-    def test_nearest_neighbors_delegates(self, online, embeddings):
-        with make_gateway(online, embeddings) as gateway:
-            query = embeddings.get("ent").embedding.vectors[5]
-            result = gateway.nearest_neighbors("ent", query, k=3)
-            assert int(result.ids[0]) == 5
-            assert gateway.metrics.endpoint("nearest_neighbors").requests.value == 1
-
     def test_requires_embedding_store(self, online):
         with make_gateway(online) as gateway:
             with pytest.raises(ValidationError):
                 gateway.get_embeddings("ent", [1])
-            with pytest.raises(ValidationError):
-                gateway.nearest_neighbors("ent", np.ones(DIM))
 
 
 class TestEnrich:
@@ -450,20 +441,6 @@ class TestVectorServing:
                 endpoint = gateway.metrics.endpoint("search_neighbors")
                 assert endpoint.requests.value == 1
                 assert endpoint.degraded.value == 0
-        finally:
-            service.close()
-
-    def test_search_neighbors_batch(self, online, embeddings):
-        service = self._service(embeddings)
-        try:
-            vectors = embeddings.get("ent").embedding.vectors
-            with ServingGateway(
-                online, embeddings, vectors=service
-            ) as gateway:
-                results = gateway.search_neighbors_batch(
-                    "ent", vectors[:4], k=2
-                )
-                assert [r.ids[0] for r in results] == [0, 1, 2, 3]
         finally:
             service.close()
 

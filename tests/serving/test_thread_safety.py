@@ -15,6 +15,7 @@ from repro.clock import SimClock
 from repro.core.embedding_store import EmbeddingStore, Provenance
 from repro.embeddings import EmbeddingMatrix
 from repro.storage.online import OnlineStore
+from repro.vecserve import VectorService
 
 pytestmark = pytest.mark.slow
 
@@ -118,20 +119,36 @@ class TestEmbeddingStoreThreadSafety:
         assert [r.version for r in records] == list(range(1, 17))
         assert store.latest_version("emb") == 16
 
-    def test_concurrent_search_builds_one_index(self):
+    def test_concurrent_search_during_registrations(self):
+        """Registrations, the auto-enabled table builds they trigger and
+        searches interleave across threads; every version is served once
+        and each thread's row stays its own 1-NN (each version is a
+        rescaled copy, so cosine neighbours agree across versions)."""
         store = EmbeddingStore(clock=SimClock(0.0))
         vectors = np.random.default_rng(0).normal(size=(50, 8))
-        store.register("emb", EmbeddingMatrix(vectors=vectors), Provenance("t"))
         results = []
+        with VectorService(embeddings=store, n_workers=4) as service:
+            service.auto_enable(
+                "emb", backend="brute", n_shards=2, sample_rate=0.0
+            )
+            store.register(
+                "emb", EmbeddingMatrix(vectors=vectors), Provenance("t")
+            )
 
-        def worker(thread_id):
-            result = store.search("emb", vectors[thread_id], k=3)
-            results.append(int(result.ids[0]))
+            def worker(thread_id):
+                store.register(
+                    "emb",
+                    EmbeddingMatrix(vectors=vectors * (thread_id + 2)),
+                    Provenance(f"t{thread_id}"),
+                )
+                result = service.search("emb", vectors[thread_id], k=3)
+                results.append(int(result.ids[0]))
 
-        run_threads(worker)
+            run_threads(worker)
+            assert service.served_tables() == [
+                ("emb", version) for version in range(1, N_THREADS + 2)
+            ]
         assert sorted(results) == list(range(N_THREADS))  # row i is its own 1-NN
-        assert len(store._indexes) == 1  # no duplicate index builds
-        assert store.read_count == N_THREADS
 
     def test_concurrent_serving_and_compatibility(self):
         store = EmbeddingStore(clock=SimClock(0.0))

@@ -6,14 +6,16 @@ training (batch) and serving (stream) silently skew, which is exactly the
 class of bug the paper's monitoring section is about.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.transforms import WindowAggregate
+from repro.core import WindowAggregate, available_aggregations
 from repro.datagen.streams import StreamEvent
-from repro.streaming.windows import SlidingWindowAggregator
+from repro.streaming.windows import (
+    SlidingWindowAggregator,
+    TumblingWindowAggregator,
+)
 
 event_lists = st.lists(
     st.tuples(
@@ -29,7 +31,7 @@ event_lists = st.lists(
 @given(
     events=event_lists,
     window=st.floats(min_value=0.5, max_value=500.0, allow_nan=False),
-    agg=st.sampled_from(["mean", "sum", "count", "min", "max"]),
+    agg=st.sampled_from(available_aggregations()),
 )
 def test_sliding_stream_matches_batch_window(events, window, agg):
     events = sorted(events)
@@ -53,6 +55,45 @@ def test_sliding_stream_matches_batch_window(events, window, agg):
         assert streamed is None
     else:
         assert streamed == pytest.approx(batch, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    events=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=1000),
+            st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    width=st.integers(min_value=1, max_value=200),
+    agg=st.sampled_from(available_aggregations()),
+)
+def test_tumbling_stream_matches_batch_window(events, width, agg):
+    """The last closed tumbling window ``[j*w, (j+1)*w)`` holds the same
+    events as the batch window ``((j+1)*w - 0.5 - w, (j+1)*w - 0.5]`` on
+    integer timestamps, so both must report the same aggregate."""
+    events = sorted(events)
+    last_window = events[-1][0] // width
+    rows = [
+        {"entity_id": 1, "timestamp": float(ts), "v": value}
+        for ts, value in events
+    ]
+    batch = WindowAggregate(column="v", agg=agg, window=width).evaluate(
+        rows, (last_window + 1) * width - 0.5
+    )
+
+    aggregator = TumblingWindowAggregator(agg, width=width)
+    for ts, value in events:
+        aggregator.update(
+            StreamEvent(timestamp=float(ts), entity_id=1, value=value)
+        )
+    # querying at the start of the next window closes the last one
+    streamed = aggregator.value(1, now=float((last_window + 1) * width))
+
+    assert batch is not None
+    assert streamed == pytest.approx(batch, rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)

@@ -294,6 +294,27 @@ class TestLayering:
         ]
         assert checker.check_edges(edges) == []
 
+    def test_lint_detects_index_import_outside_vecserve(self):
+        """Rule 8: one k-NN path — a store, gateway or monitor importing
+        the index substrate is caught; vecserve and index itself are not."""
+        checker = _load_checker()
+        edges = [
+            checker.ImportEdge("repro.core.embedding_store", "repro.index", 1),
+            checker.ImportEdge("repro.serving.gateway", "repro.index.hnsw", 2),
+            checker.ImportEdge(
+                "repro.monitoring.dashboard", "repro.index.base", 3
+            ),
+        ]
+        violations = checker.check_edges(edges)
+        assert len(violations) == 3
+        assert all("repro.index" in v.rule for v in violations)
+        allowed = [
+            checker.ImportEdge("repro.vecserve.service", "repro.index", 1),
+            checker.ImportEdge("repro.vecserve.shards", "repro.index.base", 2),
+            checker.ImportEdge("repro.index.brute", "repro.index.base", 3),
+        ]
+        assert checker.check_edges(allowed) == []
+
     def test_io_substrate_not_reexported_from_runtime_root(self):
         """Rule 7's enforcement depends on io imports being visible as
         ``repro.runtime.io`` statements — the package root must not

@@ -9,6 +9,7 @@ import pytest
 from repro.core.embedding_store import EmbeddingStore, Provenance
 from repro.embeddings import EmbeddingMatrix
 from repro.errors import NotRegisteredError, ValidationError
+from repro.index import BruteForceIndex
 from repro.vecserve import VectorService
 
 
@@ -52,11 +53,12 @@ class TestRouting:
             _serve(service, corpus, version=1)
             _serve(service, corpus, version=2)
             service.disable("emb", 2)
-            assert service.serves("emb", 1)
-            assert not service.serves("emb", 2)
+            assert service.served_tables() == [("emb", 1)]
             assert service.search("emb", corpus[1][3], k=1).ids[0] == 3
             service.disable("emb", 1)
-            assert not service.serves("emb")
+            assert service.served_tables() == []
+            with pytest.raises(NotRegisteredError):  # no latest to follow
+                service.search("emb", corpus[1][3], k=1)
 
     def test_unknown_backend_rejected(self, corpus):
         ids, vectors = corpus
@@ -76,13 +78,13 @@ class TestStoreSubscription:
             store.register(
                 "users", EmbeddingMatrix(vectors), Provenance(trainer="t")
             )
-            assert service.serves("users", 1)
+            assert service.served_tables() == [("users", 1)]
             store.register(
                 "users",
                 EmbeddingMatrix(np.roll(vectors, 1, axis=0)),
                 Provenance(trainer="t"),
             )
-            assert service.serves("users", 2)
+            assert service.served_tables() == [("users", 1), ("users", 2)]
             # latest routing follows the new registration automatically
             assert service.search("users", vectors[10], k=1).ids[0] == 11
 
@@ -99,44 +101,30 @@ class TestStoreSubscription:
             again = service.enable("users")
             assert first is again  # second enable returns the live table
 
-    def test_store_search_routes_through_service(self, corpus):
-        """EmbeddingStore.search transparently uses the serving plane —
-        including its delta freshness, which the store-local index lacks."""
-        __, vectors = corpus
-        store = EmbeddingStore()
-        with VectorService(embeddings=store, n_workers=4) as service:
-            store.register(
-                "users", EmbeddingMatrix(vectors), Provenance(trainer="t")
-            )
-            service.enable(
-                "users", backend="brute", n_shards=2, sample_rate=0.0
-            )
-            routed = store.search("users", vectors[7], k=3)
-            assert routed.ids[0] == 7
-            # a serving-plane upsert is visible through the store façade
-            fresh = np.full(8, 0.9)
-            service.upsert("users", np.asarray([777], dtype=np.int64), fresh[None])
-            assert store.search("users", fresh, k=1).ids[0] == 777
-            # detaching restores the store-local fallback path
-            service.close()
-            fallback = store.search("users", vectors[7], k=3)
-            assert fallback.ids[0] == 7
-
-    def test_store_search_parity_with_fallback(self, corpus):
-        """Routed and store-local answers agree on the frozen corpus."""
+    def test_brute_tables_match_reference_index(self, corpus):
+        """1-shard and 3-shard ``backend="brute"`` tables over a stored
+        version answer like ``repro.index.BruteForceIndex`` built on the
+        same matrix."""
         __, vectors = corpus
         store = EmbeddingStore()
         store.register(
             "users", EmbeddingMatrix(vectors), Provenance(trainer="t")
         )
-        baseline = store.search("users", vectors[42], k=5)
-        with VectorService(embeddings=store, n_workers=4) as service:
-            service.enable(
-                "users", backend="brute", n_shards=3, sample_rate=0.0
-            )
-            routed = store.search("users", vectors[42], k=5)
-            assert routed.ids.tolist() == baseline.ids.tolist()
-            np.testing.assert_allclose(routed.scores, baseline.scores)
+        reference = BruteForceIndex()
+        reference.build(vectors)
+        queries = np.vstack(
+            [vectors[42], np.random.default_rng(1).normal(size=(4, 8))]
+        )
+        for n_shards in (1, 3):
+            with VectorService(embeddings=store, n_workers=4) as service:
+                service.enable(
+                    "users", backend="brute", n_shards=n_shards, sample_rate=0.0
+                )
+                for query in queries:
+                    served = service.search("users", query, k=5)
+                    expected = reference.query(query, 5)
+                    assert served.ids.tolist() == expected.ids.tolist()
+                    np.testing.assert_allclose(served.scores, expected.scores)
 
 
 class TestWritePathAndCompaction:

@@ -10,7 +10,7 @@ The unified runtime refactor gave the repo an explicit layer diagram
     serving | bus | vecserve | streaming | monitoring   (the planes)
     net | cluster                  (the top of the DAG, mutually independent)
 
-Seven rules keep it a DAG:
+Eight rules keep it a DAG:
 
 1. **The runtime imports nothing above it.** Modules under
    ``repro.runtime`` may import only the stdlib, numpy, ``repro.errors``,
@@ -59,6 +59,14 @@ Seven rules keep it a DAG:
    deliberately *not* re-exported from ``repro.runtime``'s package
    root — a storage or serving module reaching for an event loop is a
    design smell this rule turns into a lint failure.
+8. **One k-NN path: the index substrate belongs to vecserve.**
+   ``repro.index`` (the brute/LSH/IVF/HNSW indexes) may be imported at
+   runtime only by ``repro.vecserve`` and by ``repro.index`` itself.
+   Every similarity search in the library goes through
+   :class:`repro.vecserve.VectorService`; a store, gateway or monitor
+   building its own index would be a second search path. Benchmarks
+   and tests are not checked, so they may still use an index directly
+   (as an exact reference, say).
 
 ``if TYPE_CHECKING:`` blocks are exempt — annotations may name
 cross-plane types without creating a runtime edge.
@@ -349,6 +357,23 @@ def check_edges(edges: list[ImportEdge]) -> list[Violation]:
                         "repro.runtime.io is kernel I/O infrastructure — "
                         "only repro.net, repro.cluster and the runtime "
                         "itself may import it",
+                    )
+                )
+                continue
+        # Rule 8: the index substrate is vecserve's alone.
+        if edge.imported == "repro.index" or edge.imported.startswith(
+            "repro.index."
+        ):
+            allowed = edge.importer.startswith(
+                ("repro.vecserve", "repro.index")
+            )
+            if not allowed:
+                violations.append(
+                    Violation(
+                        edge,
+                        "repro.index is the k-NN substrate of vecserve — "
+                        "only repro.vecserve and repro.index itself may "
+                        "import it",
                     )
                 )
                 continue

@@ -14,7 +14,11 @@ PR that adds a package, a module or an exported name shows it here.
   own module uses counts — it could be private). "Uses" is an AST scan
   for the name as a loaded identifier or an attribute; imports and
   ``__all__`` entries do not count, and a name shared with another def
-  hides both, so the column is a lower bound.
+  hides both, so the column is a lower bound. A def named inside a
+  module-level binding counts as used when its module reads that binding
+  outside its own assignment: a registry such as
+  ``CODEC_KINDS = {"int8": Int8Codec}`` looked up by key reaches its
+  values without naming them.
 
 After the table, one ``repro.<package>.<module>:<name>`` line per
 test-only def names what the column counts, so a new one shows up by
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,6 +81,35 @@ def used_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def registry_names(tree: ast.Module) -> set[str]:
+    """Identifiers loaded inside a module-level binding that the module
+    reads outside its own assignment (a registry it looks up by key)."""
+
+    def loads(node: ast.AST) -> Counter:
+        return Counter(
+            n.id
+            for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        )
+
+    everywhere = loads(tree)
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets = [stmt.target]
+        else:
+            continue
+        own = loads(stmt)
+        if any(
+            isinstance(t, ast.Name) and everywhere[t.id] > own[t.id]
+            for t in targets
+        ):
+            names.update(loads(stmt.value))
+    return names
+
+
 def module_name(path: Path) -> str:
     """Dotted import name of a ``src/repro`` file."""
     parts = path.relative_to(SRC.parent).with_suffix("").parts
@@ -100,11 +134,13 @@ def ledger() -> tuple[list[tuple[str, int, int, int, int]], list[str]]:
     unused: list[str] = []
 
     def test_only(files: list[Path]) -> int:
+        registered = {path: registry_names(trees[path]) for path in files}
         found = [
             f"{module_name(path)}:{name}"
             for path in files
             for name in public_defs(trees[path])
-            if not any(name in names for other, names in uses.items() if other != path)
+            if name not in registered[path]
+            and not any(name in names for other, names in uses.items() if other != path)
         ]
         unused.extend(found)
         return len(found)

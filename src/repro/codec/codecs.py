@@ -9,17 +9,19 @@ ranks by are computed without ever materializing the decoded matrix.
 
 The math per codec:
 
-* **fp32** — codes are the float32 matrix itself. ADC is one BLAS matmul;
-  the decoded error is float32 rounding (~1e-7 relative).
+* **fp32** — codes are the float32 matrix itself. ADC is the block scan
+  below with scale 1 and bias 0; the decoded error is float32 rounding
+  (~1e-7 relative).
 * **int8 (scalar)** — per-dimension affine maps ``v ≈ c * scale + offset``
   with ``c`` in int8, trained from per-dimension min/max (or mean/scale).
-  The ADC dot is dequant-free::
+  The ADC dot distributes over the affine map::
 
       q . decode(c) = q . (c * scale + offset)
                     = (q * scale) . c  +  q . offset
 
-  — one pre-scaled query vector, one int8 matmul (chunked through
-  float32 so BLAS does the work), one scalar bias. No per-row decode.
+  — one pre-scaled query vector, one block scan over the codes, one
+  scalar bias added once at the end. The scale and offset never touch a
+  database row.
 * **PQ (product quantization)** — the dimension axis splits into ``m``
   subspaces, each with its own ``k``-entry k-means codebook; a row
   stores one uint8 code per subspace, so the effective codebook is
@@ -30,6 +32,18 @@ The math per codec:
       score(row) = sum_s lut[s, code[row, s]]
 
   — the scan is ``m`` table gathers per row instead of ``d`` multiplies.
+
+**The block scan.** fp32 and int8 (and the exact float64 scans in
+``repro.index`` and ``repro.vecserve``) score rows through one helper,
+:func:`_block_scores`: rows are taken :data:`_SCAN_BLOCK_BYTES` (256 KiB)
+at a time, int8 blocks are widened into one float32 staging buffer that
+every block of the call reuses, and each block's BLAS call writes
+straight into the score array. A widened copy of one block is the only
+decoded state that exists, and it stays L2-resident. Blocks also stay at
+or below OpenBLAS's threading threshold (:data:`_SCAN_BLOCK_WORK`;
+large query batches get shorter blocks), so a scan running on a
+vecserve pool thread never fans out inside BLAS: vecserve's shard
+fan-out owns parallelism.
 
 Training is deterministic under a fixed seed (seeded k-means++ with
 Lloyd iterations), so re-encoding the same generation twice yields
@@ -46,9 +60,46 @@ import numpy as np
 
 from repro.errors import ValidationError
 
-#: Row chunk for int8/fp32 matmuls: bounds the float32 staging buffer the
-#: ADC kernels materialize while BLAS scores a block of coded rows.
-_SCAN_CHUNK = 8192
+#: Bytes of rows one BLAS call scores: 64k float32 elements stay
+#: L2-resident.
+_SCAN_BLOCK_BYTES = 256 * 1024
+#: Multiply-adds per BLAS call past which OpenBLAS 0.3 splits a gemm across
+#: threads (a 1,024 x 64 x 8 sgemm runs on one thread, 1,024 x 64 x 16 on
+#: two; its gemv threshold is higher still). Blocks stay at or below it.
+_SCAN_BLOCK_WORK = 524_288
+
+
+def _scan_block_rows(dim: int, n_queries: int = 1, itemsize: int = 4) -> int:
+    """Rows per scan block: 1,024 at d = 64 and 85 at d = 768 for up to
+    eight float32 queries, fewer for larger batches."""
+    by_bytes = _SCAN_BLOCK_BYTES // (dim * itemsize)
+    return max(1, min(by_bytes, _SCAN_BLOCK_WORK // (dim * n_queries)))
+
+
+def _block_scores(
+    rows: np.ndarray, queries: np.ndarray, dtype: type = np.float32
+) -> np.ndarray:
+    """``rows @ queries.T`` as an ``(n, q)`` ``dtype`` array, one block of
+    rows per BLAS call.
+
+    Rows not already in ``dtype`` (int8 codes) are widened block by block
+    into one staging buffer reused across the call; rows in ``dtype`` are
+    scored in place. Blocks split rows, never a row's d-long dot product.
+    """
+    n, dim = rows.shape
+    weights = np.ascontiguousarray(queries.T, dtype=dtype)  # (d, q)
+    scores = np.empty((n, len(queries)), dtype=dtype)
+    step = _scan_block_rows(dim, len(queries), scores.itemsize)
+    staging = (
+        None if rows.dtype == dtype else np.empty((min(step, n), dim), dtype=dtype)
+    )
+    for start in range(0, n, step):
+        block = rows[start : start + step]
+        if staging is not None:
+            np.copyto(staging[: len(block)], block)
+            block = staging[: len(block)]
+        np.matmul(block, weights, out=scores[start : start + len(block)])
+    return scores
 
 
 @dataclass(frozen=True)
@@ -219,8 +270,8 @@ def _as_matrix(
 class Fp32Codec(VectorCodec):
     """Float32 passthrough: halves the float64 raw matrix, loses ~1e-7.
 
-    The baseline coded format — same scan shape as the raw path (one
-    BLAS matmul), useful as the parity anchor for the other codecs and
+    The baseline coded format — the int8 block scan with scale 1 and
+    bias 0, useful as the parity anchor for the other codecs and
     as a free 2x when float64 precision is pointless (it always is for
     cosine ranking).
     """
@@ -243,7 +294,7 @@ class Fp32Codec(VectorCodec):
     def _adc_scores_batch(
         self, codes: np.ndarray, queries: np.ndarray
     ) -> np.ndarray:
-        return (codes @ queries.astype(np.float32).T).astype(np.float64)
+        return _block_scores(codes, queries).astype(np.float64)
 
     @property
     def dim(self) -> int:
@@ -306,15 +357,11 @@ class Int8Codec(VectorCodec):
     def _adc_scores_batch(
         self, codes: np.ndarray, queries: np.ndarray
     ) -> np.ndarray:
-        # Dequant-free dot: (q*scale).codes + q.offset — the affine map is
-        # applied to the *queries* once, never to the n database rows.
-        scaled = (queries * self._scale).astype(np.float32).T  # (d, q)
-        bias = queries @ self._offset  # (q,)
-        scores = np.empty((len(codes), len(queries)), dtype=np.float64)
-        for start in range(0, len(codes), _SCAN_CHUNK):
-            block = codes[start : start + _SCAN_CHUNK]
-            scores[start : start + len(block)] = block.astype(np.float32) @ scaled
-        return scores + bias
+        # (q*scale).codes + q.offset: the affine map is applied to the
+        # *queries* once, never to the n database rows.
+        scores = _block_scores(codes, queries * self._scale).astype(np.float64)
+        scores += queries @ self._offset  # (q,) bias, added once in float64
+        return scores
 
     @property
     def dim(self) -> int:

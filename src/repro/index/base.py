@@ -288,9 +288,10 @@ class VectorIndex(ABC):
         """Top-k for many queries under one lock acquisition.
 
         The default walks :meth:`_query` per query; exact indexes override
-        :meth:`_query_batch` with one vectorized scoring pass (a single
-        GIL-releasing matmul), which is what makes sharded scatter-gather
-        of micro-batches real parallelism rather than serialized Python.
+        :meth:`_query_batch` with one vectorized scoring pass (a block
+        scan of GIL-releasing matmuls), which is what makes sharded
+        scatter-gather of micro-batches real parallelism rather than
+        serialized Python.
         """
         if self._vectors is None:
             raise ValidationError("index not built; call build() first")

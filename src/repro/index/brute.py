@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.codec.codecs import _block_scores
 from repro.index.base import SearchResult, VectorIndex
 
 
@@ -26,9 +27,10 @@ class BruteForceIndex(VectorIndex):
     def _query_batch(
         self, normalized: np.ndarray, k: int
     ) -> list[SearchResult]:
-        """One GIL-releasing matmul scores the whole batch at once."""
+        """One block scan scores the whole batch: GIL-releasing matmuls,
+        each small enough to stay single-threaded inside BLAS."""
         assert self._vectors is not None
-        scores = self._vectors @ normalized.T  # (n, q)
+        scores = _block_scores(self._vectors, normalized, np.float64)  # (n, q)
         self.distance_evaluations += scores.size
         k = min(k, self.size)
         top = np.argpartition(-scores, kth=k - 1, axis=0)[:k]  # (k, q)

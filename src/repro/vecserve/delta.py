@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.codec.codecs import _block_scores
 from repro.errors import ValidationError
 from repro.index.base import SearchResult, _normalize_rows
 
@@ -199,15 +200,15 @@ class DeltaIndex:
         self, normalized_queries: np.ndarray, k: int
     ) -> list[SearchResult]:
         """Exact top-k over the buffered rows (external ids) for ``(q, d)``
-        normalized queries, in one vectorized pass; a single query is a
-        batch of one."""
+        normalized queries, in one block scan; a single query is a batch
+        of one."""
         if k <= 0:
             raise ValidationError(f"k must be positive ({k=})")
         with self._lock:
             n = len(self._ids)
             if n == 0:
                 return [_EMPTY_RESULT] * len(normalized_queries)
-            scores = self._matrix[:n] @ normalized_queries.T  # (n, q)
+            scores = _block_scores(self._matrix[:n], normalized_queries, np.float64)
             ids = np.asarray(self._ids, dtype=np.int64)
         k = min(k, n)
         top = np.argpartition(-scores, kth=k - 1, axis=0)[:k]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.codec import codecs as codecs_module
 from repro.codec import (
     adc_scores,
     adc_scores_batch,
@@ -59,15 +60,36 @@ class TestScores:
             ).max() < 1e-5
 
     def test_int8_chunked_scan_matches_unchunked(self):
-        """Corpora larger than the scan chunk must score identically."""
-        from repro.codec import codecs as codecs_module
-
-        vectors, query = _corpus(n=codecs_module._SCAN_CHUNK + 100)
+        """Corpora larger than the scan block must score identically."""
+        vectors, query = _corpus(n=codecs_module._scan_block_rows(32) + 100)
         codec = make_codec("int8").train(vectors)
         coded = codec.encode(vectors)
         scores = adc_scores(codec, coded, query)
         reference = codec.decode(coded) @ query
         assert np.abs(scores - reference).max() < 1e-4
+
+    @pytest.mark.parametrize("kind", ["fp32", "int8"])
+    @pytest.mark.parametrize("d", [8, 64, 300])
+    def test_block_boundaries(self, kind, d):
+        """Corpora ending just before, on and just past a scan-block edge
+        score like the decoded matrix, and a query ranks the same rows
+        alone as inside a batch of five."""
+        block = codecs_module._scan_block_rows(d)
+        rng = np.random.default_rng(d)
+        queries = rng.normal(size=(5, d))
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+        for n in (1, block - 1, block, block + 1, 3 * block + 7):
+            vectors, __ = _corpus(n=n, d=d, seed=n)
+            codec = make_codec(kind).train(vectors)
+            coded = codec.encode(vectors)
+            batch = adc_scores_batch(codec, coded, queries)
+            reference = codec.decode(coded) @ queries.T
+            np.testing.assert_allclose(batch, reference, rtol=0, atol=1e-4)
+            batched = adc_topk_batch(codec, coded, queries, 10)
+            for query, (positions, scores) in zip(queries, batched):
+                alone, alone_scores = adc_topk(codec, coded, query, 10)
+                np.testing.assert_array_equal(positions, alone)
+                np.testing.assert_allclose(scores, alone_scores, rtol=0, atol=1e-4)
 
     def test_query_dim_mismatch_rejected(self):
         vectors, _ = _corpus()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.codec.codecs import _scan_block_rows
 from repro.errors import ValidationError
 from repro.index import (
     BruteForceIndex,
@@ -82,6 +83,20 @@ class TestBruteForce:
         expected = np.argsort(-(normalized @ q))[:5]
         result = index.query(queries[0], k=5)
         np.testing.assert_array_equal(result.ids, expected)
+
+    def test_batch_matches_manual_exact_search_across_blocks(self, queries):
+        """A batch scan spanning several scan blocks ranks every query
+        exactly like one whole-matrix product."""
+        block = _scan_block_rows(16, len(queries), itemsize=8)
+        rng = np.random.default_rng(2)
+        corpus = rng.normal(size=(2 * block + 3, 16))
+        index = BruteForceIndex()
+        index.build(corpus)
+        normalized = corpus / np.linalg.norm(corpus, axis=1, keepdims=True)
+        q = queries / np.linalg.norm(queries, axis=1, keepdims=True)
+        expected = np.argsort(-(normalized @ q.T), axis=0)[:10].T
+        for result, want in zip(index.query_batch(queries, k=10), expected):
+            np.testing.assert_array_equal(result.ids, want)
 
     def test_evaluates_everything(self, vectors):
         index = BruteForceIndex()

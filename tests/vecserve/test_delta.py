@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.codec.codecs import _scan_block_rows
 from repro.errors import ValidationError
 from repro.vecserve.delta import DeltaIndex
 
@@ -25,6 +26,19 @@ class TestMutation:
         result = delta.search_batch(query[None], k=1)[0]
         assert result.ids[0] == 200
         assert delta.size == 3
+
+    def test_search_across_scan_blocks_matches_exact_ranking(self):
+        dim = 64
+        n = 2 * _scan_block_rows(dim, 3, itemsize=8) + 5
+        vectors = _vecs(n, dim=dim, seed=3)
+        delta = DeltaIndex(dim=dim)
+        delta.upsert(np.arange(n, dtype=np.int64) * 7, vectors)
+        queries = _vecs(3, dim=dim, seed=4)
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+        rows = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+        expected = np.argsort(-(rows @ queries.T), axis=0)[:10].T * 7
+        for result, want in zip(delta.search_batch(queries, k=10), expected):
+            np.testing.assert_array_equal(result.ids, want)
 
     def test_upsert_overwrites_in_place(self):
         delta = DeltaIndex(dim=4)

@@ -9,6 +9,8 @@ uncommitted suffix on restart.
 Checkpoints are one tiny JSON file per ``(group, partition)`` written via
 the atomic-rename idiom (write tmp, fsync, ``os.replace``) — a checkpoint
 is either the old offset or the new one, never a torn intermediate.
+``Consumer.commit`` rewrites only the checkpoints whose cursor moved, so
+a settle after one record costs one file write, not one per partition.
 
 :class:`DedupeWindow` turns at-least-once delivery into effectively-once
 *application*: sinks consult it keyed on ``(partition, offset)`` before
@@ -60,6 +62,7 @@ class CheckpointStore:
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._group_dirs: set[str] = set()  # groups whose directory exists
 
     def _path(self, group: str, partition: int) -> Path:
         return self.directory / group / f"partition-{partition:04d}.json"
@@ -77,7 +80,9 @@ class CheckpointStore:
         if next_offset < 0:
             raise ValidationError(f"next_offset must be >= 0 ({next_offset=})")
         path = self._path(group, partition)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        if group not in self._group_dirs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._group_dirs.add(group)
         tmp = path.with_suffix(".json.tmp")
         with open(tmp, "w") as handle:
             json.dump({"next_offset": next_offset}, handle)
@@ -116,9 +121,12 @@ class Consumer:
         # Resume from the last commit; clamp to the durable end so a
         # checkpoint that outlived torn (never-acknowledged) records cannot
         # strand the cursor past the recovered log.
+        self._committed = [
+            self.checkpoints.load(group, p) for p in range(log.n_partitions)
+        ]
         self._positions = [
-            min(self.checkpoints.load(group, p), log.end_offset(p))
-            for p in range(log.n_partitions)
+            min(offset, log.end_offset(p))
+            for p, offset in enumerate(self._committed)
         ]
         self._round_robin = 0
 
@@ -185,13 +193,17 @@ class Consumer:
         return out
 
     def commit(self) -> dict[int, int]:
-        """Persist every partition cursor; return the committed offsets."""
-        committed = {}
-        for partition in range(self.log.n_partitions):
-            self.checkpoints.commit(
-                self.group, partition, self._positions[partition]
-            )
-            committed[partition] = self._positions[partition]
+        """Persist the partition cursors; return every committed offset.
+
+        Only a cursor that moved since this consumer last loaded or wrote
+        its checkpoint is rewritten; an unmoved one is already on disk.
+        The contract stays at-least-once: what is returned is durable.
+        """
+        for partition, position in enumerate(self._positions):
+            if position != self._committed[partition]:
+                self.checkpoints.commit(self.group, partition, position)
+                self._committed[partition] = position
+        committed = dict(enumerate(self._positions))
         if self.metrics is not None:
             self.metrics.commits.inc()
         return committed

@@ -25,7 +25,15 @@ cadence". This module is that substrate at laptop scale:
 * **Crash recovery** — :class:`SegmentLog` opens by scanning the *tail*
   segment of each partition, keeping the longest prefix of CRC-valid
   frames and truncating whatever a crash tore mid-write. Interior
-  segments were sealed by rotation and are never re-scanned.
+  segments were sealed by rotation and are never re-scanned for
+  recovery.
+* **Sparse index** — each segment keeps the byte position of every
+  64th frame. The tail's index grows on append and is rebuilt from the
+  recovery scan; a sealed segment present at open is indexed by one
+  walk on its first read. A read seeks to the nearest indexed frame at
+  or below its start offset, so a tail read walks at most 63 frames
+  plus the ones it returns, however far into the segment it starts;
+  every returned frame still passes :func:`_frame_ends`.
 
 Offsets are per-partition, dense, and 0-based: the pair
 ``(partition, offset)`` names a record for consumers, checkpoints and the
@@ -51,6 +59,8 @@ from repro.errors import BusError, CorruptRecordError, ValidationError
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 _FIXED = struct.Struct("<qqdd")  # sequence, entity_id, timestamp, value
 _MAX_PAYLOAD = 1 << 26  # 64 MiB: anything larger is framing corruption
+
+_INDEX_STRIDE = 64  # frames between two indexed byte positions
 
 _SEGMENT_SUFFIX = ".seg"
 _META_FILE = "meta.json"
@@ -183,6 +193,9 @@ class _PartitionLog:
         self.fsync = fsync
         self._lock = threading.Lock()
         self._bases: list[int] = []  # sorted segment base offsets
+        # base -> byte position of frames 0, stride, 2*stride, ... in the
+        # segment; sealed segments present at open join on first read.
+        self._marks: dict[int, list[int]] = {}
         self._tail: object | None = None  # open file object (append mode)
         self._tail_base = 0
         self._tail_records = 0
@@ -207,6 +220,7 @@ class _PartitionLog:
             self._tail_base = 0
             self._tail_records = 0
             self._tail_bytes = 0
+            self._marks = {0: []}
             self._tail = open(self._segment_path(0), "ab")
             return
         self._bases = bases
@@ -226,6 +240,7 @@ class _PartitionLog:
         self._tail_base = tail_base
         self._tail_records = count
         self._tail_bytes = valid
+        self._marks = {tail_base: [0, *ends][:count:_INDEX_STRIDE]}
         self._tail = open(path, "ab")
 
     def close(self) -> None:
@@ -262,12 +277,16 @@ class _PartitionLog:
             if self._tail is None:
                 raise BusError(f"partition log {self.directory} is closed")
             per_record = self.fsync.policy is FsyncPolicy.PER_RECORD
+            marks = self._marks[self._tail_base]
             for frame in frames:
                 if (
                     self._tail_bytes
                     and self._tail_bytes + len(frame) > self.segment_bytes
                 ):
                     self._rotate_locked()
+                    marks = self._marks[self._tail_base]
+                if self._tail_records % _INDEX_STRIDE == 0:
+                    marks.append(self._tail_bytes)
                 self._tail.write(frame)
                 self._tail_bytes += len(frame)
                 offsets.append(self._tail_base + self._tail_records)
@@ -294,6 +313,7 @@ class _PartitionLog:
         self._tail.close()
         new_base = self._tail_base + self._tail_records
         self._bases.append(new_base)
+        self._marks[new_base] = []
         self._tail_base = new_base
         self._tail_records = 0
         self._tail_bytes = 0
@@ -324,7 +344,10 @@ class _PartitionLog:
 
         Returns ``(offset, frame)`` pairs in offset order, each frame the
         exact bytes on disk. Reading past the end returns an empty list
-        (the consumer's "caught up" signal).
+        (the consumer's "caught up" signal). Each segment is read from its
+        nearest indexed frame at or below the wanted offset, so the bytes
+        read and frames walked are bounded by the stride plus the records
+        returned, not by how far into the segment the read starts.
         """
         if start_offset < 0:
             raise ValidationError(f"offset must be >= 0 ({start_offset=})")
@@ -340,17 +363,42 @@ class _PartitionLog:
         out: list[tuple[int, bytes]] = []
         index = max(0, bisect_right(bases, start_offset) - 1)
         for base in bases[index:]:
-            if len(out) >= max_records:
+            want = max_records - len(out)
+            if want <= 0:
                 break
-            data = self._segment_path(base).read_bytes()
             skip = max(start_offset - base, 0)
-            ends = _frame_ends(data, min(skip + max_records - len(out), end - base))
+            marks = self._segment_marks(base)
+            block = skip // _INDEX_STRIDE
+            if block >= len(marks):
+                continue  # the segment holds no valid frame at `skip`
+            first = block * _INDEX_STRIDE
+            # Read up to the mark past the last wanted frame, or to the end
+            # of the segment when there is none; the walk stops at `end`.
+            stop_block = -(-(skip + want) // _INDEX_STRIDE)
+            with open(self._segment_path(base), "rb") as handle:
+                handle.seek(marks[block])
+                data = handle.read(
+                    marks[stop_block] - marks[block]
+                    if stop_block < len(marks)
+                    else -1
+                )
+            ends = _frame_ends(data, min(skip + want, end - base) - first)
             bounds = [0, *ends]
             out.extend(
-                (base + i, data[bounds[i] : bounds[i + 1]])
-                for i in range(skip, len(ends))
+                (first + i + base, data[bounds[i] : bounds[i + 1]])
+                for i in range(skip - first, len(ends))
             )
         return out
+
+    def _segment_marks(self, base: int) -> list[int]:
+        """The segment's index; a sealed segment is walked once to build it."""
+        marks = self._marks.get(base)
+        if marks is None:
+            ends = _frame_ends(self._segment_path(base).read_bytes())
+            built = [0, *ends][: len(ends) : _INDEX_STRIDE]
+            with self._lock:
+                marks = self._marks.setdefault(base, built)
+        return marks
 
 
 class SegmentLog:

@@ -314,8 +314,8 @@ class Int8Codec(VectorCodec):
     trained state is two ``(d,)`` vectors — ``scale`` and an effective
     ``offset`` — and decode is ``codes * scale + offset``.
 
-    Dimensions with zero spread get ``scale=1`` and encode to a constant
-    code, so decode is still exact there.
+    Dimensions with zero spread get ``scale=1`` and encode to code 0, so
+    decode is exact there and adds no rounding to the scores.
     """
 
     kind = "int8"
@@ -334,11 +334,13 @@ class Int8Codec(VectorCodec):
         if self.mode == "minmax":
             lo = vectors.min(axis=0)
             hi = vectors.max(axis=0)
-            scale = (hi - lo) / 255.0
-            scale[scale == 0] = 1.0
+            spread = (hi - lo) / 255.0
+            scale = np.where(spread == 0, 1.0, spread)
             # codes in [-128, 127]; effective offset folds the +128 shift.
+            # It uses the unclamped spread, so a constant dimension codes to
+            # 0 and decodes to `lo` exactly.
             self._scale = scale
-            self._offset = lo + 128.0 * scale
+            self._offset = lo + 128.0 * spread
         else:
             mean = vectors.mean(axis=0)
             spread = np.abs(vectors - mean).max(axis=0)

@@ -91,6 +91,26 @@ class TestScores:
                 np.testing.assert_array_equal(positions, alone)
                 np.testing.assert_allclose(scores, alone_scores, rtol=0, atol=1e-4)
 
+    def test_int8_zero_spread_dimensions_score_exactly(self):
+        """A one-row corpus has no spread in any dimension: every code is
+        0 and decodes to the row itself, so the kernel adds no rounding
+        and a query scores the same alone as inside a batch."""
+        vectors, __ = _corpus(n=1, d=8, seed=1)
+        rng = np.random.default_rng(8)
+        queries = rng.normal(size=(5, 8))
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+        codec = make_codec("int8").train(vectors)
+        coded = codec.encode(vectors)
+        np.testing.assert_array_equal(codec.decode(coded), vectors)
+        batch = adc_scores_batch(codec, coded, queries)
+        np.testing.assert_allclose(
+            batch, codec.decode(coded) @ queries.T, rtol=0, atol=1e-9
+        )
+        for j, query in enumerate(queries):
+            np.testing.assert_allclose(
+                adc_scores(codec, coded, query), batch[:, j], rtol=0, atol=1e-9
+            )
+
     def test_query_dim_mismatch_rejected(self):
         vectors, _ = _corpus()
         codec = make_codec("int8").train(vectors)

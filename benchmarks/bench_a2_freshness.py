@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.clock import SimClock
-from repro.core import ColumnRef, Feature, FeatureStore, FeatureView
+from repro.compiler import ColumnRef
+from repro.core import Feature, FeatureStore, FeatureView
 from repro.models import LogisticRegression
 from repro.storage import TableSchema
 

@@ -40,8 +40,8 @@ import time
 import numpy as np
 
 from repro.clock import SimClock
+from repro.compiler import ColumnRef
 from repro.core import (
-    ColumnRef,
     Feature,
     FeatureSetSpec,
     FeatureStore,

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.clock import SimClock
-from repro.core import ColumnRef, Feature, FeatureStore, FeatureView
+from repro.compiler import ColumnRef
+from repro.core import Feature, FeatureStore, FeatureView
 from repro.datagen import RideEventConfig, generate_ride_events
 from repro.quality import freshness_seconds
 from repro.storage import TableSchema

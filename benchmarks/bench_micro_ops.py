@@ -12,14 +12,8 @@ import numpy as np
 import pytest
 
 from repro.clock import SimClock
-from repro.core import (
-    ColumnRef,
-    Feature,
-    FeatureSetSpec,
-    FeatureStore,
-    FeatureView,
-    WindowAggregate,
-)
+from repro.compiler import ColumnRef, WindowAggregate
+from repro.core import Feature, FeatureSetSpec, FeatureStore, FeatureView
 from repro.datagen import RideEventConfig, generate_ride_events
 from repro.index import HNSWIndex, IVFFlatIndex
 from repro.storage import TableSchema

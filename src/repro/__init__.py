@@ -30,8 +30,8 @@ from repro.bus import (
     SegmentLog,
 )
 from repro.clock import SimClock, WallClock
+from repro.compiler import ColumnRef, RowTransform, WindowAggregate
 from repro.core import (
-    ColumnRef,
     EmbeddingStore,
     EmbeddingVersion,
     EntityDef,
@@ -42,9 +42,7 @@ from repro.core import (
     FeatureView,
     MaterializationResult,
     Provenance,
-    RowTransform,
     TrainingSet,
-    WindowAggregate,
 )
 from repro.embeddings import EmbeddingMatrix
 from repro.errors import (

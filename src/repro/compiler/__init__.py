@@ -1,25 +1,27 @@
-"""The declarative feature-pipeline compiler.
+"""The feature definition language and its optimizing compiler.
 
-Feature definitions become data (:class:`Plan`), and an optimizing
-compiler — not the author — decides the physical execution: predicate
-pushdown into partition-pruned scan ranges, projection pruning down to
-the columns a plan actually reads, and shared-scan fusion so N views
-over the same table cost one physical scan instead of N.
+A feature is data: an operator (:class:`ColumnRef`, :class:`WindowAggregate`,
+:class:`RowTransform`) over a source table, and a :class:`Plan` is a table
+plus filter predicates and named operators. The compiler — not the
+author — decides the physical execution: predicate pushdown into
+partition-pruned scan ranges, projection pruning down to the columns a
+plan actually reads, and shared-scan fusion so N views over the same
+table cost one physical scan instead of N.
 
-Layering: this package sits beside ``repro.core`` and above
-``repro.storage``; nothing below it imports it (core reaches plan
-behaviour through duck-typed methods on the plan object a view carries).
+Layering: this package sits on ``repro.storage`` and below
+``repro.core``. Core builds every feature view's plan and runs it here;
+the compiler never imports core.
 
 Entry points::
 
-    from repro.compiler import scan
+    from repro.compiler import compile_plan, scan
 
     plan = (scan("trips")
             .filter("fare", ">", 0.0)
             .window("fare", "mean", 3600.0))
-    view = plan.to_view("trip_stats", entity="driver", schema=table.schema)
-    rows = plan.execute(table, as_of=now)          # compiled single plan
-    print(plan.compile(table).explain())           # logical + physical
+    compiled = compile_plan(plan, table)
+    rows = compiled.evaluate(as_of=now)            # materialization shape
+    print(compiled.explain())                      # logical + physical
 """
 
 from repro.compiler.compile import CompiledPlan, compile_plan
@@ -27,13 +29,16 @@ from repro.compiler.executor import (
     execute_fused,
     execute_fused_at,
     explain_fused,
+    merge_stats,
 )
 from repro.compiler.plan import (
-    Derived,
-    Latest,
+    ColumnRef,
     Plan,
     PlanFeature,
-    WindowAgg,
+    RowTransform,
+    WindowAggregate,
+    aggregate_fn,
+    available_aggregations,
     scan,
 )
 from repro.compiler.schema import (
@@ -43,18 +48,21 @@ from repro.compiler.schema import (
 )
 
 __all__ = [
+    "ColumnRef",
     "CompiledPlan",
-    "Derived",
     "FEATURE_DTYPES",
-    "Latest",
     "Plan",
     "PlanFeature",
-    "WindowAgg",
+    "RowTransform",
+    "WindowAggregate",
+    "aggregate_fn",
+    "available_aggregations",
     "check_declared_dtype",
     "compile_plan",
     "execute_fused",
     "execute_fused_at",
     "explain_fused",
     "map_dtype",
+    "merge_stats",
     "scan",
 ]

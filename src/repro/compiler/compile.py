@@ -6,9 +6,10 @@ into a :class:`CompiledPlan` carrying a physical strategy:
 ``asof-index``
     No predicates: the plan is exactly the shape the batched as-of
     kernels were built for — ``latest_before_index_batch`` for
-    latest/derived features, ``events_between_index_batch`` plus one
-    :meth:`~repro.storage.offline.OfflineTable.gather_numeric` per window
-    column. No scan at all.
+    latest/derived features, one ``events_between_index_batch`` per
+    distinct window width and one
+    :meth:`~repro.storage.offline.OfflineTable.gather_numeric` per
+    distinct ``(column, window)``. No scan at all.
 
 ``shared-scan``
     Predicates present: one :class:`~repro.storage.scan.SharedScan`
@@ -24,7 +25,9 @@ the plan's features and predicates are ever gathered or decoded.
 Both strategies are byte-identical to ``Plan.execute_rows`` /
 ``Plan.execute_rows_at`` — enforced by the parity suite — because they
 feed the exact same float64 values, in the same order, to the exact same
-aggregation callables (:func:`repro.core.transforms.aggregate_fn`).
+aggregation callables (:func:`repro.compiler.plan.aggregate_fn`), and call
+the operators' own ``evaluate`` on the latest matching row for
+``ColumnRef``/``RowTransform``.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.compiler.plan import Derived, Latest, Plan, WindowAgg, exclusive_end
-from repro.core.transforms import aggregate_fn
+from repro.compiler.plan import Plan, WindowAggregate, aggregate_fn, exclusive_end
 from repro.errors import ValidationError
 from repro.storage.offline import OfflineTable
 from repro.storage.query import Predicate
@@ -200,7 +202,7 @@ class CompiledPlan:
             {
                 f.op.column
                 for f in self.plan.features
-                if isinstance(f.op, WindowAgg)
+                if isinstance(f.op, WindowAggregate)
             }
         )
 
@@ -212,43 +214,46 @@ class CompiledPlan:
     ) -> list[dict[str, object] | None]:
         """Shared core of the index strategy.
 
-        Per probe: resolve the latest row index once, resolve each window
-        feature's event-index window once, gather each window column once
-        (flattened across probes), then assemble rows. ``emit_misses``
-        selects the as-of-join shape (all-None rows for empty probes).
+        Per probe: resolve the latest row index once, resolve each distinct
+        window width's event-index window once, gather each distinct
+        ``(column, window)`` once (flattened across probes, NULLs dropped),
+        then assemble rows — so ``sum`` and ``count`` over one window share
+        every kernel call. ``emit_misses`` selects the as-of-join shape
+        (all-None rows for empty probes).
         """
         table = self.table
         latest_idx = table.latest_before_index_batch(eids, ts)
         hit = latest_idx >= 0
 
-        window_features = [
-            (f.name, f.op)
-            for f in self.plan.features
-            if isinstance(f.op, WindowAgg)
-        ]
-        # window -> per-probe (values, null) slices, one flat gather per feature
-        window_values: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for name, op in window_features:
-            windows = table.events_between_index_batch(
-                eids, ts - op.window, ts
-            )
-            flat = (
-                np.concatenate(windows)
-                if windows
-                else np.empty(0, dtype=np.int64)
-            )
+        # window -> (flat event indices, per-probe offsets into them)
+        spans: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        # (column, window) -> (non-NULL float64 values, per-probe offsets)
+        valid: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
+        for feature in self.plan.features:
+            op = feature.op
+            if not isinstance(op, WindowAggregate):
+                continue
+            key = (op.column, op.window)
+            if key in valid:
+                continue
+            if op.window not in spans:
+                windows = table.events_between_index_batch(
+                    eids, ts - op.window, ts
+                )
+                flat = (
+                    np.concatenate(windows)
+                    if windows
+                    else np.empty(0, dtype=np.int64)
+                )
+                offsets = np.concatenate(
+                    ([0], np.cumsum([len(w) for w in windows]))
+                ).astype(np.int64)
+                spans[op.window] = (flat, offsets)
+            flat, offsets = spans[op.window]
             values, null = table.gather_numeric(op.column, flat)
-            offsets = np.concatenate(
-                ([0], np.cumsum([len(w) for w in windows]))
-            ).astype(np.int64)
-            window_values[name] = [
-                (values[offsets[i] : offsets[i + 1]], null[offsets[i] : offsets[i + 1]])
-                for i in range(len(windows))
-            ]
+            kept = np.concatenate(([0], np.cumsum(~null))).astype(np.int64)
+            valid[key] = (values[~null].astype(np.float64), kept[offsets])
 
-        aggregates = {
-            name: aggregate_fn(op.agg) for name, op in window_features
-        }
         out: list[dict[str, object] | None] = []
         for probe in range(len(eids)):
             if not hit[probe] and not emit_misses:
@@ -258,36 +263,24 @@ class CompiledPlan:
                 "entity_id": int(eids[probe]),
                 "timestamp": float(ts[probe]),
             }
-            latest = (
-                table.row_at(int(latest_idx[probe])) if hit[probe] else None
-            )
+            # ColumnRef and RowTransform read only the latest event
+            latest = [table.row_at(int(latest_idx[probe]))] if hit[probe] else []
             for feature in self.plan.features:
                 op = feature.op
-                if isinstance(op, Latest):
-                    row_out[feature.name] = (
-                        latest.get(op.column) if latest is not None else None
-                    )
-                elif isinstance(op, Derived):
-                    if latest is None:
-                        row_out[feature.name] = None
-                    else:
-                        args = [latest.get(c) for c in op.inputs]
-                        row_out[feature.name] = (
-                            None if any(a is None for a in args) else op.fn(*args)
-                        )
-                else:  # WindowAgg
-                    if latest is None:
-                        # as-of-join miss: no visible events at all
-                        row_out[feature.name] = None
-                        continue
-                    values, null = window_values[feature.name][probe]
-                    valid = values[~null].astype(np.float64)
-                    if len(valid) == 0:
+                if not isinstance(op, WindowAggregate):
+                    row_out[feature.name] = op.evaluate(latest, ts[probe])
+                elif not latest:
+                    # as-of-join miss: no visible events at all
+                    row_out[feature.name] = None
+                else:
+                    values, offsets = valid[(op.column, op.window)]
+                    window = values[offsets[probe] : offsets[probe + 1]]
+                    if len(window) == 0:
                         row_out[feature.name] = (
                             0.0 if op.agg == "count" else None
                         )
                     else:
-                        row_out[feature.name] = aggregates[feature.name](valid)
+                        row_out[feature.name] = aggregate_fn(op.agg)(window)
             out.append(row_out)
         return out
 
@@ -390,7 +383,7 @@ def _matching_positions(
 
 
 def _window_value(
-    op: WindowAgg,
+    op: WindowAggregate,
     seg_ts: np.ndarray,
     seg_values: np.ndarray,
     seg_null: np.ndarray,
@@ -421,21 +414,14 @@ def _evaluate_entity(
     """Feature values for one entity from its matching positions (non-empty)."""
     seg_ts = scan.timestamps[positions]
     hi = int(np.searchsorted(seg_ts, as_of, side="right"))
-    latest = scan.row_at(int(positions[hi - 1])) if hi > 0 else None
+    # ColumnRef and RowTransform read only the latest event
+    latest = [scan.row_at(int(positions[hi - 1]))] if hi > 0 else []
     out: dict[str, object] = {}
     for feature in plan.features:
         op = feature.op
-        if isinstance(op, Latest):
-            out[feature.name] = latest.get(op.column) if latest else None
-        elif isinstance(op, Derived):
-            if latest is None:
-                out[feature.name] = None
-            else:
-                args = [latest.get(c) for c in op.inputs]
-                out[feature.name] = (
-                    None if any(a is None for a in args) else op.fn(*args)
-                )
-        else:  # WindowAgg
+        if not isinstance(op, WindowAggregate):
+            out[feature.name] = op.evaluate(latest, as_of)
+        else:
             values, null = columns[op.column]
             out[feature.name] = _window_value(
                 op, seg_ts[:hi], values[positions[:hi]], null[positions[:hi]], as_of
@@ -506,5 +492,5 @@ def evaluate_on_scan_at(
 
 def _numeric_window_columns(plan: Plan) -> set[str]:
     return {
-        f.op.column for f in plan.features if isinstance(f.op, WindowAgg)
+        f.op.column for f in plan.features if isinstance(f.op, WindowAggregate)
     }

@@ -32,20 +32,6 @@ from repro.storage.offline import OfflineTable
 from repro.storage.scan import SharedScan
 
 
-def empty_stats() -> dict[str, int]:
-    """The compiler-accounting shape, all zeros (one scheduler tick's unit)."""
-    return {
-        "views_compiled": 0,
-        "fusion_groups": 0,
-        "views_fused": 0,
-        "scans_saved": 0,
-        "rows_scanned": 0,
-        "rows_pruned": 0,
-        "columns_decoded": 0,
-        "columns_pruned": 0,
-    }
-
-
 def merge_stats(total: dict[str, int], delta: dict[str, int]) -> None:
     """Accumulate one execution's stats into a running total, in place."""
     for key, value in delta.items():
@@ -67,8 +53,16 @@ def _execute_group(
     no fusion.
     """
     compiled = [compile_plan(plan, table) for plan in plans]
-    stats = empty_stats()
-    stats["views_compiled"] = len(compiled)
+    stats = {
+        "views_compiled": len(compiled),
+        "fusion_groups": 0,
+        "views_fused": 0,
+        "scans_saved": 0,
+        "rows_scanned": 0,
+        "rows_pruned": 0,
+        "columns_decoded": 0,
+        "columns_pruned": 0,
+    }
     if len(compiled) < 2:
         results = []
         for c in compiled:

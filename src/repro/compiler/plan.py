@@ -1,13 +1,21 @@
-"""The declarative feature-plan language.
+"""The feature definition language: operators and plans.
 
-Feature views today are opaque Python callables; a :class:`Plan` makes the
-definition *declarative* — a source table plus filter / select / window /
-as-of-join / aggregate nodes — so the compiler, not the user, decides how
-the pipeline physically runs (predicate pushdown, projection pruning,
-shared-scan fusion across views).
+A feature is a definition uploaded to the store (paper section 2.2.1),
+and this module is its one vocabulary. Three operators name a feature's
+value for one entity *as of* a timestamp ``t``:
 
-A plan is built fluently, mirroring the protocol-driven feature-store
-client shape::
+* :class:`ColumnRef` — the column value of the latest matching event
+  (ties on timestamp broken by insertion order, i.e. upsert semantics);
+* :class:`WindowAggregate` — ``agg`` over the non-NULL values of a column
+  among matching events with ``t - window < timestamp <= t`` (empty
+  window: ``count`` -> 0.0, everything else -> None);
+* :class:`RowTransform` — ``fn`` over the latest matching event's input
+  columns (None in -> None out).
+
+A :class:`Plan` is a source table plus filter predicates and named
+operators, so the compiler, not the author, decides how the pipeline
+physically runs (predicate pushdown, projection pruning, shared-scan
+fusion across views). It is built fluently::
 
     plan = (scan("trips")
             .filter("fare", ">", 0.0)
@@ -16,23 +24,15 @@ client shape::
             .derived("fare_per_km", lambda f, d: f / d,
                      inputs=("fare", "distance")))
 
-Plan semantics, evaluated per entity *as of* a timestamp ``t``:
+Only source events with ``timestamp <= t`` that satisfy **every** filter
+participate; an entity with no matching event emits no row.
 
-* only source events with ``timestamp <= t`` that satisfy **every** filter
-  participate; an entity with no matching event emits no row;
-* ``latest(col)`` — the column value of the last matching event (ties on
-  timestamp broken by insertion order, i.e. upsert semantics);
-* ``window(col, agg, w)`` — ``agg`` over the non-NULL values of ``col``
-  among matching events with ``t - w < timestamp <= t`` (empty window:
-  ``count`` -> 0.0, everything else -> None);
-* ``derived(name, fn, inputs)`` — ``fn`` over the latest matching event's
-  input columns (None in -> None out).
-
-:meth:`Plan.execute_rows` is the **reference row engine**: a plain scan +
-per-row predicate match + the existing :mod:`repro.core.transforms`
-evaluated per entity. It defines the semantics; the compiled paths
-(:mod:`repro.compiler.compile`, :mod:`repro.compiler.executor`) are held
-byte-identical to it by the parity suite.
+Each operator's ``evaluate`` is its row reference, and
+:meth:`Plan.execute_rows` is the **reference row engine** built on it: a
+plain scan + per-row predicate match + ``evaluate`` per entity. It
+defines the semantics; the compiled paths (:mod:`repro.compiler.compile`,
+:mod:`repro.compiler.executor`) are held byte-identical to it by the
+parity suite.
 """
 
 from __future__ import annotations
@@ -43,21 +43,42 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.feature_view import Feature, FeatureView
-from repro.core.transforms import (
-    ColumnRef,
-    RowTransform,
-    Transformation,
-    WindowAggregate,
-    available_aggregations,
-)
-from repro.compiler.schema import check_declared_dtype, map_dtype
+from repro.compiler.schema import map_dtype
 from repro.errors import ValidationError
 from repro.storage.offline import OfflineTable, TableSchema
 from repro.storage.query import Predicate
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.compiler.compile import CompiledPlan
+
+_AGGREGATIONS: dict[str, Callable[[np.ndarray], float]] = {
+    "mean": lambda v: float(np.mean(v)),
+    "sum": lambda v: float(np.sum(v)),
+    "min": lambda v: float(np.min(v)),
+    "max": lambda v: float(np.max(v)),
+    "std": lambda v: float(np.std(v)),
+    "count": lambda v: float(len(v)),
+    "last": lambda v: float(v[-1]),
+}
+
+
+def available_aggregations() -> list[str]:
+    """Names of the supported window aggregation functions."""
+    return sorted(_AGGREGATIONS)
+
+
+def aggregate_fn(name: str) -> Callable[[np.ndarray], float]:
+    """The aggregation callable behind ``name``.
+
+    The row reference, the compiled window operators and the streaming
+    aggregators all apply *this exact function* to float64 arrays, so
+    their outputs stay byte-identical.
+    """
+    if name not in _AGGREGATIONS:
+        raise ValidationError(
+            f"unknown aggregation {name!r}; allowed: {sorted(_AGGREGATIONS)}"
+        )
+    return _AGGREGATIONS[name]
 
 
 def exclusive_end(as_of: float) -> float:
@@ -70,17 +91,27 @@ def exclusive_end(as_of: float) -> float:
 
 
 # -- feature operators ---------------------------------------------------------
+#
+# ``evaluate`` receives an entity's time-sorted matching events with
+# ``timestamp <= as_of`` (the caller enforces the point-in-time contract).
 
 
 @dataclass(frozen=True)
-class Latest:
-    """The column value of the latest matching event."""
+class ColumnRef:
+    """The raw column value from the entity's latest event."""
 
     column: str
 
     @property
     def input_columns(self) -> tuple[str, ...]:
         return (self.column,)
+
+    def evaluate(
+        self, events: Sequence[dict[str, object]], as_of: float
+    ) -> float | int | str | None:
+        if not events:
+            return None
+        return events[-1].get(self.column)  # type: ignore[return-value]
 
     def infer_dtype(self, schema: TableSchema) -> str:
         if self.column == "timestamp":
@@ -89,27 +120,24 @@ class Latest:
             return "int"
         return schema.column_kind(self.column)
 
-    def to_transform(self) -> Transformation:
-        return ColumnRef(self.column)
-
     def describe(self) -> str:
         return f"latest({self.column})"
 
 
 @dataclass(frozen=True)
-class WindowAgg:
-    """A trailing-window aggregate of one column (``t - window < ts <= t``)."""
+class WindowAggregate:
+    """A trailing-window aggregate of one column (``t - window < ts <= t``).
+
+    NULL values are skipped; an empty window yields ``None`` (except
+    ``count``, which yields 0.0).
+    """
 
     column: str
     agg: str
     window: float
 
     def __post_init__(self) -> None:
-        if self.agg not in available_aggregations():
-            raise ValidationError(
-                f"unknown aggregation {self.agg!r}; "
-                f"allowed: {available_aggregations()}"
-            )
+        aggregate_fn(self.agg)  # raises on unknown names
         if self.window <= 0:
             raise ValidationError(f"window must be positive ({self.window=})")
 
@@ -117,19 +145,36 @@ class WindowAgg:
     def input_columns(self) -> tuple[str, ...]:
         return (self.column,)
 
+    def evaluate(
+        self, events: Sequence[dict[str, object]], as_of: float
+    ) -> float | None:
+        lo = as_of - self.window
+        values = [
+            event[self.column]
+            for event in events
+            if lo < float(event["timestamp"]) <= as_of  # type: ignore[arg-type]
+            and event.get(self.column) is not None
+        ]
+        if not values:
+            return 0.0 if self.agg == "count" else None
+        return _AGGREGATIONS[self.agg](np.asarray(values, dtype=float))
+
     def infer_dtype(self, schema: TableSchema) -> str:
         return "float"
-
-    def to_transform(self) -> Transformation:
-        return WindowAggregate(column=self.column, agg=self.agg, window=self.window)
 
     def describe(self) -> str:
         return f"window({self.column}, {self.agg}, {self.window:g}s)"
 
 
 @dataclass(frozen=True)
-class Derived:
-    """A function of the latest matching event's input columns."""
+class RowTransform:
+    """A function of several columns of the entity's latest event.
+
+    ``fn`` receives the column values positionally (matching ``inputs``);
+    a NULL input yields ``None`` without calling it. Any exception ``fn``
+    raises is a definition bug and propagates. ``dtype`` declares what
+    ``fn`` returns.
+    """
 
     fn: Callable[..., float | int | str | None]
     inputs: tuple[str, ...]
@@ -144,18 +189,26 @@ class Derived:
     def input_columns(self) -> tuple[str, ...]:
         return self.inputs
 
+    def evaluate(
+        self, events: Sequence[dict[str, object]], as_of: float
+    ) -> float | int | str | None:
+        if not events:
+            return None
+        latest = events[-1]
+        args = [latest.get(column) for column in self.inputs]
+        if any(a is None for a in args):
+            return None
+        return self.fn(*args)
+
     def infer_dtype(self, schema: TableSchema) -> str:
         return map_dtype(self.dtype)
-
-    def to_transform(self) -> Transformation:
-        return RowTransform(fn=self.fn, inputs=self.inputs)
 
     def describe(self) -> str:
         name = getattr(self.fn, "__name__", "fn")
         return f"derived({name}: {', '.join(self.inputs)})"
 
 
-FeatureOp = Latest | WindowAgg | Derived
+FeatureOp = ColumnRef | WindowAggregate | RowTransform
 
 
 @dataclass(frozen=True)
@@ -196,7 +249,7 @@ class Plan:
         return replace(self, predicates=self.predicates + (predicate,))
 
     def latest(self, column: str, as_: str | None = None) -> "Plan":
-        return self._with_feature(PlanFeature(as_ or column, Latest(column)))
+        return self._with_feature(PlanFeature(as_ or column, ColumnRef(column)))
 
     def select(self, *columns: str) -> "Plan":
         """Sugar: one :meth:`latest` feature per named column."""
@@ -209,7 +262,7 @@ class Plan:
         self, column: str, agg: str, window: float, as_: str | None = None
     ) -> "Plan":
         name = as_ or f"{column}_{agg}_{int(window)}s"
-        return self._with_feature(PlanFeature(name, WindowAgg(column, agg, window)))
+        return self._with_feature(PlanFeature(name, WindowAggregate(column, agg, window)))
 
     def derived(
         self,
@@ -219,7 +272,9 @@ class Plan:
         dtype: str = "float",
     ) -> "Plan":
         return self._with_feature(
-            PlanFeature(name, Derived(fn=fn, inputs=tuple(inputs), dtype=dtype))
+            PlanFeature(
+                name, RowTransform(fn=fn, inputs=tuple(inputs), dtype=dtype)
+            )
         )
 
     def _with_feature(self, feature: PlanFeature) -> "Plan":
@@ -241,12 +296,12 @@ class Plan:
 
     @property
     def max_window(self) -> float | None:
-        windows = [f.op.window for f in self.features if isinstance(f.op, WindowAgg)]
+        windows = [
+            f.op.window
+            for f in self.features
+            if isinstance(f.op, WindowAggregate)
+        ]
         return max(windows) if windows else None
-
-    @property
-    def has_latest_ops(self) -> bool:
-        return any(isinstance(f.op, (Latest, Derived)) for f in self.features)
 
     def required_columns(self) -> set[str]:
         """Source columns the plan reads: feature inputs + predicate columns."""
@@ -276,7 +331,7 @@ class Plan:
             predicate.check_kind(schema.column_kind(predicate.column))
         for feature in self.features:
             feature.op.infer_dtype(schema)  # raises on bad dtype names
-            if isinstance(feature.op, WindowAgg):
+            if isinstance(feature.op, WindowAggregate):
                 column = feature.op.column
                 if column not in schema.columns or (
                     schema.column_kind(column) == "string"
@@ -292,64 +347,6 @@ class Plan:
         if self.schema is None:
             raise ValidationError("plan is unbound; call bind(schema) first")
         return {f.name: f.op.infer_dtype(self.schema) for f in self.features}
-
-    def validate_view(self, view: FeatureView) -> None:
-        """Check a view's declared feature dtypes against the compiled schema.
-
-        Called by the registry at publish time; raises
-        :class:`ValidationError` on any plan/schema dtype mismatch.
-        """
-        inferred = self.feature_schema()
-        declared = {f.name: f.dtype for f in view.features}
-        if set(declared) != set(inferred):
-            raise ValidationError(
-                f"view {view.name!r} declares features {sorted(declared)} but "
-                f"its plan produces {sorted(inferred)}"
-            )
-        for name, dtype in declared.items():
-            check_declared_dtype(
-                dtype, inferred[name], context=f"view {view.name!r} feature {name!r}"
-            )
-
-    def to_view(
-        self,
-        name: str,
-        entity: str,
-        schema: TableSchema,
-        cadence: float = 3600.0,
-        ttl: float | None = None,
-        owner: str = "",
-        description: str = "",
-        tags: tuple[str, ...] = (),
-    ) -> FeatureView:
-        """Lower the plan to a publishable :class:`FeatureView`.
-
-        Feature dtypes come from the compiled schema inference; each
-        feature also carries an equivalent row-at-a-time transform so
-        non-compiled consumers (and the parity suite) can evaluate it.
-        """
-        bound = self.bind(schema)
-        features = tuple(
-            Feature(
-                name=f.name,
-                dtype=f.op.infer_dtype(schema),
-                transform=f.op.to_transform(),
-                description=f.op.describe(),
-            )
-            for f in bound.features
-        )
-        return FeatureView(
-            name=name,
-            source_table=self.source_table,
-            entity=entity,
-            features=features,
-            cadence=cadence,
-            ttl=ttl,
-            owner=owner,
-            description=description,
-            tags=tags,
-            plan=bound,
-        )
 
     # -- explain ----------------------------------------------------------
 
@@ -381,33 +378,6 @@ class Plan:
 
         return compile_plan(self, table)
 
-    def execute(
-        self,
-        table: OfflineTable,
-        as_of: float,
-        entity_ids: Sequence[int] | None = None,
-    ) -> list[dict[str, object]]:
-        """Compile and evaluate as of one timestamp (materialization shape)."""
-        return self.compile(table).evaluate(as_of, entity_ids=entity_ids)
-
-    def materialize_group(
-        self,
-        plans: "Sequence[Plan]",
-        table: OfflineTable,
-        as_of: float,
-        entity_ids: Sequence[int] | None = None,
-    ) -> tuple[list[list[dict[str, object]]], dict[str, int]]:
-        """Fused execution of many plans over one table (one shared scan).
-
-        Defined on the plan (rather than as a free function) so layers
-        below the compiler — the feature store's ``materialize_many`` —
-        can invoke fusion through the plan object without importing
-        ``repro.compiler``.
-        """
-        from repro.compiler.executor import execute_fused
-
-        return execute_fused(list(plans), table, as_of, entity_ids=entity_ids)
-
     # -- reference row engine ---------------------------------------------
 
     def matching_events(
@@ -438,15 +408,14 @@ class Plan:
             list(entity_ids) if entity_ids is not None else table.entity_ids()
         )
         events = self.matching_events(table, as_of, entity_ids=entity_ids)
-        transforms = [(f.name, f.op.to_transform()) for f in self.features]
         out: list[dict[str, object]] = []
         for entity in candidates:
             entity_events = events.get(int(entity), [])
             if not entity_events:
                 continue
             values: dict[str, object] = {
-                name: transform.evaluate(entity_events, as_of)
-                for name, transform in transforms
+                f.name: f.op.evaluate(entity_events, as_of)
+                for f in self.features
             }
             out.append({"entity_id": int(entity), "timestamp": as_of, **values})
         return out
@@ -469,7 +438,6 @@ class Plan:
             raise ValidationError(
                 f"entity_ids and timestamps must align ({len(eids)} vs {len(ts)})"
             )
-        transforms = [(f.name, f.op.to_transform()) for f in self.features]
         horizon = max(ts) if ts else 0.0
         events = self.matching_events(table, horizon, entity_ids=set(eids))
         out: list[dict[str, object]] = []
@@ -480,10 +448,8 @@ class Plan:
                 if float(row["timestamp"]) <= t  # type: ignore[arg-type]
             ]
             row_out: dict[str, object] = {"entity_id": entity, "timestamp": t}
-            for name, transform in transforms:
-                row_out[name] = (
-                    transform.evaluate(visible, t) if visible else None
-                )
+            for f in self.features:
+                row_out[f.name] = f.op.evaluate(visible, t) if visible else None
             out.append(row_out)
         return out
 

@@ -1,6 +1,6 @@
 """Dtype mapping between plan expressions, numpy, and feature schemas.
 
-The registry validates at publish time that a plan-backed view's declared
+The feature store validates at publish time that every view's declared
 feature dtypes agree with what the compiler will actually produce — the
 ``feature_schema_mapper`` idea from production feature stores: source
 (warehouse/numpy) types are mapped onto the feature store's small type

@@ -2,7 +2,9 @@
 
 * :mod:`repro.core.feature_store` — the classic tabular feature store
   (paper part 1): registry, dual datastore, materialization, point-in-time
-  training sets, online serving.
+  training sets, online serving. A view's features are
+  :mod:`repro.compiler` operators (``ColumnRef``, ``WindowAggregate``,
+  ``RowTransform``), and every materialization runs through the compiler.
 * :mod:`repro.core.embedding_store` — embeddings as first-class citizens
   (paper parts 2-3): versioning, provenance, quality metrics and
   model/embedding compatibility enforcement. k-NN search over a stored
@@ -21,17 +23,8 @@ from repro.core.feature_store import (
 )
 from repro.core.feature_view import Feature, FeatureSetSpec, FeatureView
 from repro.core.registry import EntityDef, FeatureRegistry
-from repro.core.transforms import (
-    ColumnRef,
-    RowTransform,
-    Transformation,
-    WindowAggregate,
-    aggregate_fn,
-    available_aggregations,
-)
 
 __all__ = [
-    "ColumnRef",
     "EmbeddingStore",
     "EmbeddingVersion",
     "EntityDef",
@@ -42,10 +35,5 @@ __all__ = [
     "FeatureView",
     "MaterializationResult",
     "Provenance",
-    "RowTransform",
     "TrainingSet",
-    "Transformation",
-    "WindowAggregate",
-    "aggregate_fn",
-    "available_aggregations",
 ]

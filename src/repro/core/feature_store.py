@@ -6,9 +6,9 @@ workflow the paper describes (section 2.2):
 1. **author & publish** — :meth:`FeatureStore.publish_view` registers a
    versioned definition and provisions its offline table and online
    namespace;
-2. **materialize** — :meth:`FeatureStore.materialize` evaluates the view's
-   transformations as of a timestamp and writes the results to *both*
-   stores;
+2. **materialize** — :meth:`FeatureStore.materialize` compiles the view's
+   plan (:mod:`repro.compiler`), evaluates it as of a timestamp and writes
+   the results to *both* stores;
 3. **train** — :meth:`FeatureStore.build_training_set` performs the
    point-in-time join of label events against materialized history, on
    the batched as-of kernels (one columnar path; the parity suite holds
@@ -19,14 +19,20 @@ workflow the paper describes (section 2.2):
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.clock import Clock, SimClock
-from repro.core.feature_view import FeatureSetSpec, FeatureView
+from repro.compiler import (
+    Plan,
+    check_declared_dtype,
+    compile_plan,
+    execute_fused,
+    merge_stats,
+)
+from repro.core.feature_view import Feature, FeatureSetSpec, FeatureView
 from repro.core.registry import EntityDef, FeatureRegistry
 from repro.errors import ServingError, ValidationError
 from repro.storage.models import ModelStore
@@ -159,22 +165,21 @@ class FeatureStore:
     def publish_view(self, view: FeatureView) -> FeatureView:
         """Publish a feature view and provision its storage.
 
-        Validates that the source table exists and declares every input
-        column the view's transformations read. Plan-backed views are
-        bound to the live source schema here, so the registry's
-        plan-vs-declared dtype validation runs against what this store
-        will actually compile.
+        Binds the view's plan to the live source schema — every column it
+        reads must be declared, window aggregates need numeric columns and
+        predicates must fit their column's kind — and checks each declared
+        feature dtype against what the compiler will produce. Any failure
+        raises :class:`ValidationError` before a version is allocated, so a
+        bad publish leaves no trace.
         """
         source = self.offline.table(view.source_table)
-        known = set(source.schema.columns) | {"entity_id", "timestamp"}
-        missing = view.input_columns() - known
-        if missing:
-            raise ValidationError(
-                f"view {view.name!r} reads columns {sorted(missing)} that source "
-                f"table {view.source_table!r} does not declare"
+        produced = view.plan.bind(source.schema).feature_schema()
+        for feature in view.features:
+            check_declared_dtype(
+                feature.dtype,
+                produced[feature.name],
+                context=f"view {view.name!r} feature {feature.name!r}",
             )
-        if view.plan is not None and not getattr(view.plan, "is_bound", False):
-            view = dataclasses.replace(view, plan=view.plan.bind(source.schema))
         stamped = self.registry.publish_view(view)
         feature_columns = {f.name: f.dtype for f in stamped.features}
         self.offline.create_table(
@@ -191,7 +196,7 @@ class FeatureStore:
     def publish_plan(
         self,
         name: str,
-        plan,
+        plan: Plan,
         entity: str,
         cadence: float = 3600.0,
         ttl: float | None = None,
@@ -201,20 +206,26 @@ class FeatureStore:
     ) -> FeatureView:
         """Publish a declarative plan (``repro.compiler``) as a feature view.
 
-        The plan is lowered to a view against the live source schema
-        (feature dtypes inferred by the compiler) and then goes through the
-        normal :meth:`publish_view` validation and provisioning.
+        Each feature's dtype is the one the compiler infers from the live
+        source schema; the view then goes through the normal
+        :meth:`publish_view` validation and provisioning.
         """
         source = self.offline.table(plan.source_table)
-        view = plan.to_view(
-            name,
+        produced = plan.bind(source.schema).feature_schema()
+        view = FeatureView(
+            name=name,
+            source_table=plan.source_table,
             entity=entity,
-            schema=source.schema,
+            features=tuple(
+                Feature(f.name, produced[f.name], f.op, f.op.describe())
+                for f in plan.features
+            ),
             cadence=cadence,
             ttl=ttl,
             owner=owner,
             description=description,
             tags=tags,
+            predicates=plan.predicates,
         )
         return self.publish_view(view)
 
@@ -229,62 +240,19 @@ class FeatureStore:
     ) -> MaterializationResult:
         """Evaluate a view's features as of a timestamp, into both stores.
 
-        Only entities with at least one source event at or before ``as_of``
-        receive a row. Feature rows are timestamped ``as_of``, which is what
-        point-in-time training joins key on.
+        Compile, evaluate, commit: the compiler picks the physical strategy
+        (asof-index / shared-scan) and reports what it saved in
+        :attr:`compiler_stats`. Only entities with at least one matching
+        source event at or before ``as_of`` receive a row. Feature rows are
+        timestamped ``as_of``, which is what point-in-time training joins
+        key on.
         """
         view = self.registry.view(view_name, version)
         as_of = self.clock.now() if as_of is None else float(as_of)
-        source = self.offline.table(view.source_table)
-
-        if view.plan is not None:
-            # Compiled route: the plan picks its physical strategy
-            # (asof-index / shared-scan) and reports what the optimizer
-            # saved.
-            compiled = view.plan.compile(source)
-            rows = compiled.evaluate(as_of, entity_ids=entity_ids)
-            self._note_compiler_stats({"views_compiled": 1, **compiled.stats})
-            return self._commit_materialization(view, as_of, rows)
-
-        max_window = max(
-            (t.window for f in view.features for t in [f.transform]
-             if hasattr(t, "window")),
-            default=None,
-        )
-
-        candidates = (
-            list(entity_ids) if entity_ids is not None else source.entity_ids()
-        )
-        # Batched as-of resolution: one index probe pass for *all* candidate
-        # entities instead of N separate latest_before/events_between calls.
-        latest_idx = source.latest_before_index_batch(
-            np.asarray(candidates, dtype=np.int64),
-            np.full(len(candidates), as_of, dtype=np.float64),
-        )
-        if max_window is not None:
-            windows = source.events_between_batch(
-                candidates, as_of - max_window, as_of
-            )
-        out_rows: list[dict[str, object]] = []
-        for i, entity_id in enumerate(candidates):
-            row_index = int(latest_idx[i])
-            if row_index < 0:
-                continue
-            if max_window is not None:
-                # An empty window means the latest event predates it;
-                # ColumnRef/RowTransform still need that latest event, and
-                # WindowAggregate correctly sees nothing in range.
-                events = windows[i] or [source.row_at(row_index)]
-            else:
-                events = [source.row_at(row_index)]
-
-            values: dict[str, object] = {}
-            for feature in view.features:
-                values[feature.name] = feature.transform.evaluate(events, as_of)
-
-            out_rows.append({"entity_id": entity_id, "timestamp": as_of, **values})
-
-        return self._commit_materialization(view, as_of, out_rows)
+        compiled = compile_plan(view.plan, self.offline.table(view.source_table))
+        rows = compiled.evaluate(as_of, entity_ids=entity_ids)
+        merge_stats(self._compiler_totals, {"views_compiled": 1, **compiled.stats})
+        return self._commit_materialization(view, as_of, rows)
 
     def _commit_materialization(
         self,
@@ -294,9 +262,9 @@ class FeatureStore:
     ) -> MaterializationResult:
         """Write finished feature rows to both stores and record the run.
 
-        Shared tail of every materialization path (legacy transform loop,
-        compiled single plan, fused plan group): one bulk append to the
-        materialized table, per-entity online upserts, runtime bookkeeping.
+        Shared tail of a single and a fused materialization: one bulk
+        append to the materialized table, per-entity online upserts,
+        runtime bookkeeping.
         """
         runtime = self._runtimes[(view.name, view.version)]
         target = self.offline.table(view.materialized_table)
@@ -329,55 +297,36 @@ class FeatureStore:
     ) -> list[MaterializationResult]:
         """Materialize several views at once, fusing shared scans.
 
-        Plan-backed views reading the same source table become one fusion
-        group: a single physical scan feeds every member's operators
-        (``scans_saved`` grows by N-1 per group). Everything else — legacy
-        views and singleton plans — goes through :meth:`materialize`
-        individually. Results come back in input order and are identical
-        to per-view materialization.
+        Views reading the same source table become one fusion group: a
+        single physical scan feeds every member's operators
+        (``scans_saved`` grows by N-1 per group); a view alone on its table
+        runs its compiled strategy. Results come back in input order and
+        are identical to per-view materialization.
         """
         as_of = self.clock.now() if as_of is None else float(as_of)
         views = [self.registry.view(name) for name in view_names]
-        results: dict[int, MaterializationResult] = {}
-
         groups: dict[str, list[int]] = {}
         for position, view in enumerate(views):
-            if view.plan is not None:
-                groups.setdefault(view.source_table, []).append(position)
+            groups.setdefault(view.source_table, []).append(position)
 
-        fused: set[int] = set()
+        results: dict[int, MaterializationResult] = {}
         for table_name, members in groups.items():
-            if len(members) < 2:
-                continue
-            source = self.offline.table(table_name)
-            plans = [views[position].plan for position in members]
-            rows_per_plan, stats = plans[0].materialize_group(
-                plans, source, as_of
+            rows_per_plan, stats = execute_fused(
+                [views[p].plan for p in members],
+                self.offline.table(table_name),
+                as_of,
             )
-            self._note_compiler_stats(stats)
+            merge_stats(self._compiler_totals, stats)
             for position, rows in zip(members, rows_per_plan):
                 results[position] = self._commit_materialization(
                     views[position], as_of, rows
                 )
-            fused.update(members)
-
-        for position, view in enumerate(views):
-            if position not in fused:
-                results[position] = self.materialize(
-                    view.name, as_of=as_of, version=view.version
-                )
         return [results[position] for position in range(len(views))]
-
-    def _note_compiler_stats(self, delta: dict[str, int]) -> None:
-        for key, value in delta.items():
-            self._compiler_totals[key] = (
-                self._compiler_totals.get(key, 0) + int(value)
-            )
 
     @property
     def compiler_stats(self) -> dict[str, int]:
-        """Cumulative pipeline-compiler accounting (empty before any
-        compiled execution): views compiled, fusion groups, scans saved,
+        """Cumulative pipeline-compiler accounting (empty before the first
+        materialization): views compiled, fusion groups, scans saved,
         rows scanned vs. pruned, columns decoded vs. pruned."""
         return dict(self._compiler_totals)
 

@@ -7,18 +7,27 @@ FS. When the underlying data changes, the FS orchestrates the updates to the
 features based on the user-defined cadence."
 
 A :class:`FeatureView` bundles: the source table, the entity join key, a set
-of named :class:`Feature` definitions (each a transformation), the update
-cadence, and a freshness TTL for online serving.
+of named :class:`Feature` definitions (each an operator from
+:mod:`repro.compiler`), optional filter predicates, the update cadence, and
+a freshness TTL for online serving. Its features and predicates *are* a
+compiler :class:`~repro.compiler.Plan` (:attr:`FeatureView.plan`): the
+store binds that plan at publish and runs it at every materialization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.core.transforms import Transformation
+from repro.compiler import (
+    FEATURE_DTYPES,
+    ColumnRef,
+    Plan,
+    PlanFeature,
+    RowTransform,
+    WindowAggregate,
+)
 from repro.errors import ValidationError
-
-_FEATURE_TYPES = {"float", "int", "string"}
+from repro.storage.query import Predicate
 
 
 @dataclass(frozen=True)
@@ -27,15 +36,15 @@ class Feature:
 
     name: str
     dtype: str
-    transform: Transformation
+    transform: ColumnRef | WindowAggregate | RowTransform
     description: str = ""
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.isidentifier():
             raise ValidationError(f"feature name must be an identifier ({self.name!r})")
-        if self.dtype not in _FEATURE_TYPES:
+        if self.dtype not in FEATURE_DTYPES:
             raise ValidationError(
-                f"feature {self.name!r}: dtype {self.dtype!r} not in {sorted(_FEATURE_TYPES)}"
+                f"feature {self.name!r}: dtype {self.dtype!r} not in {FEATURE_DTYPES}"
             )
 
 
@@ -53,11 +62,8 @@ class FeatureView:
         owner / description / tags: the "definitional metadata" the paper
             says users publish alongside the query.
         version: assigned by the registry at publish time.
-        plan: optional declarative plan (``repro.compiler``) this view was
-            lowered from. Core never imports the compiler; it only calls
-            duck-typed methods (``bind`` / ``validate_view`` /
-            ``required_columns`` / ``compile`` / ``materialize_group``) on
-            the object, keeping the layering one-directional.
+        predicates: filters every feature reads through (an event that
+            fails one is invisible to the view).
     """
 
     name: str
@@ -70,7 +76,7 @@ class FeatureView:
     description: str = ""
     tags: tuple[str, ...] = ()
     version: int = 1
-    plan: object | None = None
+    predicates: tuple[Predicate, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.features:
@@ -97,17 +103,25 @@ class FeatureView:
         """Name of the online-store namespace serving this view."""
         return f"{self.name}__v{self.version}"
 
+    @property
+    def plan(self) -> Plan:
+        """The view's definition as an (unbound) compiler plan."""
+        return Plan(
+            source_table=self.source_table,
+            predicates=self.predicates,
+            features=tuple(PlanFeature(f.name, f.transform) for f in self.features),
+        )
+
     def input_columns(self) -> set[str]:
         """Union of source columns read by all features (for lineage)."""
         out: set[str] = set()
         for feature in self.features:
             out.update(feature.transform.input_columns)
-        if self.plan is not None:
-            out.update(
-                column
-                for column in self.plan.required_columns()
-                if column not in ("entity_id", "timestamp")
-            )
+        out.update(
+            p.column
+            for p in self.predicates
+            if p.column not in ("entity_id", "timestamp")
+        )
         return out
 
     def feature(self, name: str) -> Feature:
@@ -118,19 +132,7 @@ class FeatureView:
 
     def with_version(self, version: int) -> "FeatureView":
         """Copy of this view stamped with a registry-assigned version."""
-        return FeatureView(
-            name=self.name,
-            source_table=self.source_table,
-            entity=self.entity,
-            features=self.features,
-            cadence=self.cadence,
-            ttl=self.ttl,
-            owner=self.owner,
-            description=self.description,
-            tags=self.tags,
-            version=version,
-            plan=self.plan,
-        )
+        return replace(self, version=version)
 
 
 @dataclass(frozen=True)

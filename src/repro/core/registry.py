@@ -66,12 +66,10 @@ class FeatureRegistry:
 
         Republishing a view whose name already exists creates a new version;
         prior versions stay readable so existing feature sets and models
-        keep their pinned definitions.
-
-        Plan-backed views are schema-checked here: the declared feature
-        dtypes must agree with what the compiled plan will produce
-        (:class:`~repro.errors.ValidationError` otherwise — *before* a
-        version is allocated, so a bad publish leaves no trace).
+        keep their pinned definitions. Checking the definition against a
+        source schema is the store's job
+        (:meth:`~repro.core.FeatureStore.publish_view`), before it calls
+        this.
         """
         if view.entity not in self._entities:
             raise NotRegisteredError(
@@ -79,8 +77,6 @@ class FeatureRegistry:
             )
         versions = self._views.setdefault(view.name, [])
         stamped = view.with_version(len(versions) + 1)
-        if stamped.plan is not None and getattr(stamped.plan, "is_bound", False):
-            stamped.plan.validate_view(stamped)
         versions.append(stamped)
 
         view_node = ("view", f"{stamped.name}:v{stamped.version}")

@@ -34,7 +34,7 @@ class TickReport:
 
     ``fused_groups`` / ``scans_saved`` report what the pipeline compiler's
     shared-scan fusion saved while materializing this tick's due views
-    (always 0 when no plan-backed views were due).
+    (0 when no two due views share a source table).
     """
 
     tick: int
@@ -166,8 +166,8 @@ class CadenceScheduler:
         now = clock.advance(self.tick_seconds)  # type: ignore[attr-defined]
         alerts_before = len(self.alert_log)
 
-        # Materialize every due view in one call: plan-backed views over
-        # the same source table fuse into one shared scan.
+        # Materialize every due view in one call: views over the same
+        # source table fuse into one shared scan.
         stats_before = self.store.compiler_stats
         due = self.store.views_due(now=now)
         self.store.materialize_many([view.name for view in due], as_of=now)

@@ -2,8 +2,8 @@
 
 Each aggregator consumes events one at a time (event-time ordered per
 entity) and can report the current aggregate for any entity. They are the
-streaming counterparts of the batch :class:`repro.core.transforms.WindowAggregate`,
-and apply its exact aggregation functions (:func:`repro.core.aggregate_fn`).
+streaming counterparts of the batch :class:`repro.compiler.WindowAggregate`,
+and apply its exact aggregation functions (:func:`repro.compiler.aggregate_fn`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.core import aggregate_fn
+from repro.compiler import aggregate_fn
 from repro.datagen.streams import StreamEvent
 from repro.errors import ValidationError
 
@@ -31,7 +31,7 @@ class StreamAggregator(ABC):
 
 
 class _WindowAggregator(StreamAggregator):
-    """A named aggregation (any of :func:`repro.core.available_aggregations`)
+    """A named aggregation (any of :func:`repro.compiler.available_aggregations`)
     over a window of ``width`` seconds."""
 
     def __init__(self, agg: str, width: float) -> None:

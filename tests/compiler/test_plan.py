@@ -1,8 +1,8 @@
-"""Tests for the declarative plan language (repro.compiler.plan)."""
+"""Tests for the feature definition language (repro.compiler.plan)."""
 
 import pytest
 
-from repro.compiler import Derived, Latest, Plan, WindowAgg, scan
+from repro.compiler import ColumnRef, scan
 from repro.errors import ValidationError
 
 from tests.compiler.conftest import trip_schema
@@ -32,7 +32,7 @@ class TestBuilder:
     def test_select_sugar(self):
         plan = scan("trips").select("fare", "city")
         assert plan.feature_names == ["fare", "city"]
-        assert all(isinstance(f.op, Latest) for f in plan.features)
+        assert all(isinstance(f.op, ColumnRef) for f in plan.features)
 
     def test_window_default_name(self):
         plan = scan("trips").window("fare", "sum", 7200.0)
@@ -139,34 +139,6 @@ class TestBinding:
         plan = scan("trips").latest("timestamp").latest("entity_id")
         bound = plan.bind(trip_schema())
         assert bound.feature_schema() == {"timestamp": "float", "entity_id": "int"}
-
-
-class TestToView:
-    def test_lowered_view_carries_plan_and_dtypes(self):
-        plan = scan("trips").window("fare", "mean", 3600.0).latest("city")
-        view = plan.to_view("stats", entity="driver", schema=trip_schema())
-        assert view.plan is not None
-        assert view.plan.is_bound
-        assert {f.name: f.dtype for f in view.features} == {
-            "fare_mean_3600s": "float",
-            "city": "string",
-        }
-        assert view.input_columns() == {"fare", "city"}
-
-    def test_ops_map_to_row_transforms(self):
-        from repro.core.transforms import ColumnRef, RowTransform, WindowAggregate
-
-        plan = (
-            scan("trips")
-            .latest("fare")
-            .window("fare", "sum", 60.0, as_="s")
-            .derived("d", lambda f: f, inputs=("fare",))
-        )
-        view = plan.to_view("v", entity="driver", schema=trip_schema())
-        transforms = [f.transform for f in view.features]
-        assert isinstance(transforms[0], ColumnRef)
-        assert isinstance(transforms[1], WindowAggregate)
-        assert isinstance(transforms[2], RowTransform)
 
 
 class TestExplain:

@@ -1,12 +1,17 @@
-"""Registration-time plan/schema dtype validation (the schema mapper)."""
+"""Publish-time view/schema dtype validation (the schema mapper)."""
 
 import pytest
 
 from repro.clock import SimClock
-from repro.compiler import check_declared_dtype, map_dtype, scan
+from repro.compiler import (
+    ColumnRef,
+    WindowAggregate,
+    check_declared_dtype,
+    map_dtype,
+    scan,
+)
 from repro.core import FeatureStore
 from repro.core.feature_view import Feature, FeatureView
-from repro.core.transforms import ColumnRef, WindowAggregate
 from repro.errors import NotRegisteredError, ValidationError
 
 from tests.compiler.conftest import trip_rows, trip_schema
@@ -67,13 +72,9 @@ def store():
     return fs
 
 
-def plan_backed_view(plan, features, name="v"):
+def trips_view(features, name="v"):
     return FeatureView(
-        name=name,
-        source_table="trips",
-        entity="driver",
-        features=features,
-        plan=plan,
+        name=name, source_table="trips", entity="driver", features=features
     )
 
 
@@ -90,57 +91,52 @@ class TestPublishValidation:
         }
 
     def test_declared_dtype_mismatch_rejected(self, store):
-        plan = scan("trips").window("fare", "mean", 3600.0)
-        bad = plan_backed_view(
-            plan,
+        bad = trips_view(
             (
                 Feature(
                     "fare_mean_3600s",
-                    "string",  # plan produces float
+                    "string",  # the aggregate produces float
                     WindowAggregate("fare", "mean", 3600.0),
                 ),
-            ),
+            )
         )
         with pytest.raises(ValidationError, match="dtype"):
             store.publish_view(bad)
 
     def test_narrowing_rejected(self, store):
-        plan = scan("trips").latest("fare")  # float column
-        bad = plan_backed_view(
-            plan, (Feature("fare", "int", ColumnRef("fare")),)
-        )
+        bad = trips_view((Feature("fare", "int", ColumnRef("fare")),))
         with pytest.raises(ValidationError, match="widening"):
             store.publish_view(bad)
 
     def test_widening_int_to_float_allowed(self, store):
-        plan = scan("trips").latest("tips")  # int column
-        view = plan_backed_view(
-            plan, (Feature("tips", "float", ColumnRef("tips")),)
-        )
+        view = trips_view((Feature("tips", "float", ColumnRef("tips")),))
         assert store.publish_view(view).version == 1
 
-    def test_feature_name_mismatch_rejected(self, store):
-        plan = scan("trips").latest("fare")
-        bad = plan_backed_view(
-            plan, (Feature("other_name", "float", ColumnRef("fare")),)
-        )
-        with pytest.raises(ValidationError, match="produces"):
-            store.publish_view(bad)
-
     def test_failed_publish_allocates_no_version(self, store):
-        plan = scan("trips").latest("fare")
-        bad = plan_backed_view(
-            plan, (Feature("fare", "int", ColumnRef("fare")),)
-        )
+        bad = trips_view((Feature("fare", "int", ColumnRef("fare")),))
         with pytest.raises(ValidationError):
             store.publish_view(bad)
         with pytest.raises(NotRegisteredError):
             store.registry.view("v")
         # a corrected republish starts at version 1, not 2
-        good = plan_backed_view(
-            plan, (Feature("fare", "float", ColumnRef("fare")),)
-        )
+        good = trips_view((Feature("fare", "float", ColumnRef("fare")),))
         assert store.publish_view(good).version == 1
+
+    def test_publish_plan_view_carries_predicates_and_dtypes(self, store):
+        plan = (
+            scan("trips")
+            .filter("fare", ">", 10.0)
+            .window("fare", "mean", 3600.0)
+            .latest("city")
+        )
+        view = store.publish_plan("stats", plan, entity="driver")
+        assert view.predicates == plan.predicates
+        assert {f.name: f.dtype for f in view.features} == {
+            "fare_mean_3600s": "float",
+            "city": "string",
+        }
+        assert view.input_columns() == {"fare", "city"}
+        assert view.plan.explain() == plan.explain()
 
     def test_unknown_plan_column_rejected_at_publish(self, store):
         plan = scan("trips").latest("ghost")

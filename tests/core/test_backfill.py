@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.clock import SimClock
+from repro.compiler import ColumnRef
 from repro.core import (
-    ColumnRef,
     EmbeddingStore,
     Feature,
     FeatureSetSpec,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.clock import SimClock
 from repro.core.feature_store import FeatureStore
 from repro.core.feature_view import Feature, FeatureSetSpec, FeatureView
-from repro.core.transforms import ColumnRef, RowTransform, WindowAggregate
+from repro.compiler import ColumnRef, RowTransform, WindowAggregate
 from repro.errors import ServingError, ValidationError
 from repro.storage.offline import TableSchema
 from repro.storage.online import FreshnessPolicy
@@ -61,6 +61,29 @@ class TestPublish:
                 store,
                 features=(Feature("x", "float", ColumnRef("missing_col")),),
             )
+
+    def test_publish_rejects_narrowed_dtype(self, store):
+        # fare is a float column; an int feature over it fails at publish,
+        # not at the first materialization's append
+        with pytest.raises(ValidationError, match="widening"):
+            publish_basic_view(
+                store, features=(Feature("x", "int", ColumnRef("fare")),)
+            )
+        assert store.registry.view_names() == []
+
+    def test_publish_rejects_window_over_string_column(self, store):
+        store.create_source_table(
+            "tagged", TableSchema(columns={"fare": "float", "tag": "string"})
+        )
+        with pytest.raises(ValidationError, match="numeric"):
+            publish_basic_view(
+                store,
+                source_table="tagged",
+                features=(
+                    Feature("n", "float", WindowAggregate("tag", "count", 60.0)),
+                ),
+            )
+        assert store.registry.view_names() == []
 
     def test_republish_creates_new_version_and_tables(self, store):
         v1 = publish_basic_view(store)

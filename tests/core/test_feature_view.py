@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.feature_view import Feature, FeatureSetSpec, FeatureView
-from repro.core.transforms import ColumnRef, RowTransform, WindowAggregate
+from repro.compiler import ColumnRef, RowTransform, WindowAggregate
 from repro.errors import ValidationError
+from repro.storage.query import Predicate
 
 
 def make_view(**overrides):
@@ -82,6 +83,12 @@ class TestFeatureView:
         assert v2.owner == "me"
         assert v2.tags == ("a",)
         assert v2.features == view.features
+
+    def test_with_version_keeps_predicates(self):
+        view = make_view(predicates=(Predicate("fare", ">", 0.0),))
+        v2 = view.with_version(2)
+        assert v2.predicates == view.predicates
+        assert v2.plan.predicates == view.predicates
 
 
 class TestFeatureSetSpec:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.clock import SimClock
+from repro.compiler import ColumnRef
 from repro.core import (
-    ColumnRef,
     EmbeddingStore,
     Feature,
     FeatureStore,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.feature_view import Feature, FeatureSetSpec, FeatureView
 from repro.core.registry import EntityDef, FeatureRegistry
-from repro.core.transforms import ColumnRef
+from repro.compiler import ColumnRef
 from repro.errors import AlreadyRegisteredError, NotRegisteredError
 
 

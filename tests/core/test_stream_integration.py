@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.clock import SimClock
-from repro.core import ColumnRef, Feature, FeatureSetSpec, FeatureStore, FeatureView
+from repro.compiler import ColumnRef
+from repro.core import Feature, FeatureSetSpec, FeatureStore, FeatureView
 from repro.datagen.streams import StreamEvent
 from repro.streaming import SlidingWindowAggregator, StreamFeature
 

@@ -1,11 +1,11 @@
-"""Tests for repro.core.transforms."""
+"""Tests for the feature operators (ColumnRef, RowTransform, WindowAggregate)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.transforms import (
+from repro.compiler import (
     ColumnRef,
     RowTransform,
     WindowAggregate,

@@ -9,14 +9,8 @@ import numpy as np
 import pytest
 
 from repro.clock import SimClock
-from repro.core import (
-    ColumnRef,
-    Feature,
-    FeatureSetSpec,
-    FeatureStore,
-    FeatureView,
-    RowTransform,
-)
+from repro.compiler import ColumnRef, RowTransform
+from repro.core import Feature, FeatureSetSpec, FeatureStore, FeatureView
 from repro.storage import TableSchema
 from repro.storage.online import FreshnessPolicy
 

@@ -6,7 +6,7 @@ import pytest
 from repro.clock import SimClock
 from repro.core.feature_store import FeatureStore
 from repro.core.feature_view import Feature, FeatureView
-from repro.core.transforms import ColumnRef
+from repro.compiler import ColumnRef
 from repro.errors import ValidationError
 from repro.pipeline.scheduler import CadenceScheduler
 from repro.storage.offline import TableSchema

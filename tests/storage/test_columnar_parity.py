@@ -17,14 +17,8 @@ import numpy as np
 import pytest
 
 from repro.clock import SimClock
-from repro.core import (
-    ColumnRef,
-    Feature,
-    FeatureSetSpec,
-    FeatureStore,
-    FeatureView,
-    WindowAggregate,
-)
+from repro.compiler import ColumnRef, WindowAggregate
+from repro.core import Feature, FeatureSetSpec, FeatureStore, FeatureView
 from repro.errors import ValidationError
 from repro.storage import OfflineTable, Query, TableSchema
 

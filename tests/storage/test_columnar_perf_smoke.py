@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.clock import SimClock
-from repro.core import ColumnRef, Feature, FeatureSetSpec, FeatureStore, FeatureView
+from repro.compiler import ColumnRef
+from repro.core import Feature, FeatureSetSpec, FeatureStore, FeatureView
 from repro.storage import TableSchema
 
 from tests.storage.row_reference import training_matrix

@@ -92,7 +92,7 @@ class TestLayering:
         assert checker.check_edges(edges) == []
 
     def test_lint_detects_compiler_plane_import(self):
-        """The pipeline compiler may not import any serving plane."""
+        """The pipeline compiler may not import core or any serving plane."""
         checker = _load_checker()
         edges = [
             checker.ImportEdge("repro.compiler.plan", "repro.serving", 1),
@@ -100,17 +100,19 @@ class TestLayering:
                 "repro.compiler.executor", "repro.monitoring.dashboard", 2
             ),
             checker.ImportEdge("repro.compiler.compile", "repro.pipeline", 3),
+            checker.ImportEdge(
+                "repro.compiler.plan", "repro.core.feature_view", 4
+            ),
+            checker.ImportEdge("repro.compiler.compile", "repro.core", 5),
         ]
         violations = checker.check_edges(edges)
-        assert len(violations) == 3
+        assert len(violations) == 5
         assert all("repro.compiler" in v.rule for v in violations)
 
     def test_lint_allows_compiler_substrate_imports(self):
         checker = _load_checker()
         edges = [
-            checker.ImportEdge(
-                "repro.compiler.plan", "repro.core.feature_view", 1
-            ),
+            checker.ImportEdge("repro.core.feature_store", "repro.compiler", 1),
             checker.ImportEdge(
                 "repro.compiler.compile", "repro.storage.offline", 2
             ),
@@ -123,9 +125,8 @@ class TestLayering:
         assert checker.check_edges(edges) == []
 
     def test_lint_detects_plane_reaching_into_compiler_internals(self):
-        """Other planes use repro.compiler's package root, not submodules —
-        and core must not import the compiler at all (the plan object is
-        duck-typed through the view)."""
+        """Other planes — core included — use repro.compiler's package
+        root, not its submodules."""
         checker = _load_checker()
         edge = checker.ImportEdge(
             importer="repro.monitoring.dashboard",
@@ -135,6 +136,10 @@ class TestLayering:
         violations = checker.check_edges([edge])
         assert len(violations) == 1
         assert "package root" in violations[0].rule
+        core_edge = checker.ImportEdge(
+            "repro.core.feature_view", "repro.compiler.plan", 1
+        )
+        assert "package root" in checker.check_edges([core_edge])[0].rule
         # the package root itself is fine
         root_edge = checker.ImportEdge(
             "repro.monitoring.dashboard", "repro.compiler", 1
@@ -323,15 +328,15 @@ class TestLayering:
 
         assert "IoLoop" not in dir(runtime)
 
-    def test_core_does_not_import_compiler(self):
-        """The acyclicity guarantee: core → compiler would close a cycle
-        with compiler → core, so the edge must not exist in the tree."""
+    def test_compiler_does_not_import_core(self):
+        """The acyclicity guarantee: compiler → core would close a cycle
+        with core → compiler, so the edge must not exist in the tree."""
         checker = _load_checker()
         edges = checker.collect_edges(SRC)
         offenders = [
             e
             for e in edges
-            if e.importer.startswith("repro.core")
-            and e.imported.startswith("repro.compiler")
+            if e.importer.startswith("repro.compiler")
+            and e.imported.startswith("repro.core")
         ]
         assert offenders == []

@@ -6,7 +6,9 @@ The unified runtime refactor gave the repo an explicit layer diagram
 
     errors / clock                 (foundation)
     codec | runtime                (compression kernels; lifecycle, telemetry)
-    storage / core / index / ...   (domain substrate)
+    storage / index / ...          (domain substrate)
+    compiler                       (feature definitions, on storage)
+    core                           (the stores, on the compiler)
     serving | bus | vecserve | streaming | monitoring   (the planes)
     net | cluster                  (the top of the DAG, mutually independent)
 
@@ -28,13 +30,13 @@ Eight rules keep it a DAG:
    ``repro.errors`` and other ``repro.codec`` modules — so any layer
    (vecserve snapshots, the embedding store, offline tooling) can use
    the compression substrate without an upward edge.
-4. **The compiler sits on core + storage, below every plane.** Modules
+4. **The compiler sits on storage, below core and every plane.** Modules
    under ``repro.compiler`` may import only the stdlib, numpy,
-   ``repro.errors``, ``repro.clock``, ``repro.core``, ``repro.storage``
-   and other ``repro.compiler`` modules — never a plane. (Core reaches
-   compiled behaviour through duck-typed methods on the plan object a
-   view carries, so there is no ``repro.core → repro.compiler`` edge
-   either; the DAG stays acyclic.)
+   ``repro.errors``, ``repro.clock``, ``repro.storage`` and other
+   ``repro.compiler`` modules — never core, never a plane. Core may
+   import the compiler's package root (rule 2): a feature view's
+   features *are* compiler operators, and the store runs every view
+   through the compiler.
 5. **The network plane is the top of the DAG.** Modules under
    ``repro.net`` may import only the stdlib, numpy, ``repro.errors``,
    ``repro.clock``, ``repro.runtime``, ``repro.serving`` and
@@ -113,13 +115,12 @@ CODEC_ALLOWED_ROOTS = {
 }
 
 #: top-level roots repro.compiler may import at runtime (rule 4: the
-#: pipeline compiler lowers plans onto core/storage kernels and must be
-#: importable without dragging in any serving/monitoring plane)
+#: pipeline compiler lowers plans onto storage kernels and must be
+#: importable without dragging in core or any serving/monitoring plane)
 COMPILER_ALLOWED_ROOTS = {
     "repro.errors",
     "repro.clock",
     "repro.compiler",
-    "repro.core",
     "repro.storage",
     "numpy",
 }
@@ -270,7 +271,7 @@ def check_edges(edges: list[ImportEdge]) -> list[Violation]:
                     )
                 )
                 continue
-        # Rule 4: the compiler sits on core + storage, below every plane.
+        # Rule 4: the compiler sits on storage, below core and every plane.
         if edge.importer.startswith("repro.compiler"):
             allowed = not edge.imported.startswith("repro") or any(
                 edge.imported == root or edge.imported.startswith(root + ".")
@@ -281,8 +282,7 @@ def check_edges(edges: list[ImportEdge]) -> list[Violation]:
                     Violation(
                         edge,
                         "repro.compiler may import only the stdlib, numpy, "
-                        "repro.errors, repro.clock, repro.core and "
-                        "repro.storage",
+                        "repro.errors, repro.clock and repro.storage",
                     )
                 )
                 continue

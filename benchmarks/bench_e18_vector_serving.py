@@ -13,18 +13,21 @@ monitoring. This bench measures whether ``repro.vecserve`` delivers:
 * **freshness** — after each upsert wave, the writer immediately queries
   for every fresh vector *before* compaction folds it; the hit rate must
   be 1.0 (the exact delta serves the young rows).
-* **online recall and ANN economics** — an HNSW table over a clustered
+* **online recall and ANN economics** — a served table over a clustered
   corpus with a 100%-sampled
   :class:`~repro.vecserve.monitor.RecallMonitor` answers a query stream;
   the sampled shadow queries yield online recall@10 (acceptance: ≥0.9).
-  The ANN path is compared against the exact oracle on *both* axes that
-  matter: wall time and distance evaluations per query. The work
+  Every served generation is an exact scan, so this reads 1.0 by
+  construction and guards the merge path. The ANN economics are the
+  evidence for serving exact scans: a :class:`repro.index.HNSWIndex`
+  over the same corpus is timed against the served table on *both* axes
+  that matter, wall time and distance evaluations per query, plus its
+  build time (paid again on every compaction if it served). The work
   reduction (evals/query vs corpus size) is the hardware-independent
-  number; the wall ratio additionally reflects this host's economics —
-  on a small single-core box a BLAS matmul scan is extremely cheap, so
-  the graph walk's pruning does not necessarily win wall time there.
-  ``cpu_count`` is recorded alongside so the wall numbers can be read in
-  context.
+  number; the wall ratio reflects this host's economics — a BLAS block
+  scan is cheap, so the graph walk's pruning does not necessarily win
+  wall time. ``cpu_count`` is recorded alongside so the wall numbers can
+  be read in context.
 * **scatter-gather economics** — (a) micro-batched queries vs the same
   stream issued one at a time (batching amortizes task submission, lock
   acquisition, and future bookkeeping across the batch: a real speedup
@@ -50,6 +53,7 @@ import time
 
 import numpy as np
 
+from repro.index import HNSWIndex, recall_at_k
 from repro.vecserve import VectorService
 
 RESULTS_PATH = (
@@ -116,9 +120,8 @@ def _availability_case(
     with VectorService(n_workers=8) as service:
         service.serve_matrix(
             "live", 1, ids, vectors,
-            backend="hnsw", n_shards=N_SHARDS, sample_rate=0.0,
+            n_shards=N_SHARDS, sample_rate=0.0,
             deadline_s=None,  # availability counts *stalls*, not deadline sheds
-            **HNSW_KWARGS,
         )
         stop = threading.Event()
         failed: list[BaseException] = []
@@ -211,34 +214,18 @@ def _recall_case(n_rows: int, n_queries: int) -> dict:
     with VectorService(n_workers=8) as service:
         service.serve_matrix(
             "quality", 1, ids, vectors,
-            backend="hnsw", n_shards=N_SHARDS,
+            n_shards=N_SHARDS,
             sample_rate=1.0, recall_k=RECALL_K, deadline_s=None,
-            **HNSW_KWARGS,
         )
         t0 = time.perf_counter()
         for query in queries:
             service.search("quality", query, k=RECALL_K)
         monitored_s = time.perf_counter() - t0  # includes the shadow oracle scans
 
-        # Isolate the two paths: ANN scatter-gather vs exact oracle scan.
+        # The served exact scatter-gather, without the shadow queries.
         table = service.table("quality")
-
-        def _evals() -> int:
-            return sum(
-                shard.cell.current().index.distance_evaluations
-                for shard in table.shards
-                if shard.cell.current().index is not None
-            )
-
-        evals_before = _evals()
         t0 = time.perf_counter()
-        for query in queries:
-            table.search(query, k=RECALL_K)
-        ann_s = time.perf_counter() - t0
-        evals_per_query = (_evals() - evals_before) / n_queries
-        t0 = time.perf_counter()
-        for query in queries:
-            table.search_exact(query, k=RECALL_K)
+        exact = [table.search(query, k=RECALL_K) for query in queries]
         exact_s = time.perf_counter() - t0
 
         monitor = service.recall_monitor("quality")
@@ -246,14 +233,33 @@ def _recall_case(n_rows: int, n_queries: int) -> dict:
         samples = monitor.samples.value
         latency = table.metrics.search_latency.summary()
 
+    # The ANN alternative, built and queried over the same corpus.
+    hnsw = HNSWIndex(**HNSW_KWARGS)
+    t0 = time.perf_counter()
+    hnsw.build(vectors)
+    ann_build_s = time.perf_counter() - t0
+    evals_before = hnsw.distance_evaluations
+    t0 = time.perf_counter()
+    ann = [hnsw.query(query, k=RECALL_K) for query in queries]
+    ann_s = time.perf_counter() - t0
+    evals_per_query = (hnsw.distance_evaluations - evals_before) / n_queries
+    ann_recall = float(
+        np.mean(
+            [recall_at_k(got, truth, k=RECALL_K) for got, truth in zip(ann, exact)]
+        )
+    )
+
     return {
         "rows": n_rows,
         "dim": RECALL_DIM,
         "n_queries": n_queries,
-        "backend": "hnsw",
+        "codec": "raw",
         "corpus": "clustered",
         "recall_at_10_online": round(recall, 4) if recall is not None else None,
         "recall_samples": samples,
+        "ann_index": "hnsw",
+        "ann_build_s": round(ann_build_s, 3),
+        "ann_recall_at_10": round(ann_recall, 4),
         "ann_query_s": round(ann_s, 4),
         "exact_query_s": round(exact_s, 4),
         "ann_vs_exact_wall_speedup": (
@@ -272,8 +278,8 @@ def _recall_case(n_rows: int, n_queries: int) -> dict:
 
 
 def _sharding_case(n_rows: int, n_queries: int, batch: int = 16) -> dict:
-    """Scatter-gather economics on the brute backend (no ANN pruning in
-    the numbers): batching amortization and per-shard overhead."""
+    """Scatter-gather economics of the exact scan: batching amortization
+    and per-shard overhead."""
     ids, vectors = _random_corpus(n_rows, SHARD_DIM, seed=3)
     rng = np.random.default_rng(4)
     queries = rng.normal(size=(n_queries, SHARD_DIM))
@@ -283,7 +289,7 @@ def _sharding_case(n_rows: int, n_queries: int, batch: int = 16) -> dict:
         with VectorService(n_workers=8) as service:
             service.serve_matrix(
                 "scale", 1, ids, vectors,
-                backend="brute", n_shards=shards,
+                n_shards=shards,
                 sample_rate=0.0, deadline_s=None,
             )
             service.search_batch("scale", queries[:batch], k=RECALL_K)  # warm
@@ -402,11 +408,13 @@ def test_e18_vector_serving(report):
     )
     report.line(
         f"recall: online recall@10={recall['recall_at_10_online']} over "
-        f"{recall['recall_samples']} sampled shadow queries (hnsw, clustered); "
-        f"ann {recall['ann_evals_per_query']} evals/query vs exact "
+        f"{recall['recall_samples']} sampled shadow queries (exact, clustered); "
+        f"hnsw {recall['ann_evals_per_query']} evals/query vs exact "
         f"{recall['exact_evals_per_query']} "
-        f"({recall['ann_vs_exact_work_reduction']}x less work); "
-        f"wall {recall['ann_query_s']}s vs {recall['exact_query_s']}s "
+        f"({recall['ann_vs_exact_work_reduction']}x less work, "
+        f"recall@10 {recall['ann_recall_at_10']}, "
+        f"build {recall['ann_build_s']}s); "
+        f"wall {recall['ann_query_s']}s vs served {recall['exact_query_s']}s "
         f"({recall['ann_vs_exact_wall_speedup']}x on "
         f"{recall['cpu_count']} cpu)"
     )

@@ -112,7 +112,7 @@ def _tradeoff_case(n_rows: int, n_queries: int) -> dict:
     with VectorService(n_workers=4) as service:
         service.serve_matrix(
             "raw", 1, ids, vectors,
-            backend="brute", n_shards=N_SHARDS,
+            n_shards=N_SHARDS,
             sample_rate=0.0, deadline_s=None,
         )
         table = service.table("raw")
@@ -126,7 +126,7 @@ def _tradeoff_case(n_rows: int, n_queries: int) -> dict:
         with VectorService(n_workers=4) as service:
             service.serve_matrix(
                 "coded", 1, ids, vectors,
-                backend="brute", n_shards=N_SHARDS,
+                n_shards=N_SHARDS,
                 sample_rate=1.0, recall_k=RECALL_K, deadline_s=None,
                 keep_oracle=True, rerank_oversample=oversample,
                 **kwargs,
@@ -200,7 +200,7 @@ def _live_reencode_case(
     with VectorService(n_workers=4) as service:
         service.serve_matrix(
             "live", 1, ids, vectors,
-            backend="brute", n_shards=N_SHARDS,
+            n_shards=N_SHARDS,
             sample_rate=0.0, deadline_s=None,
         )
         table = service.table("live")

@@ -117,10 +117,10 @@ def _smoke_vectors() -> int:
     )
     print(
         f"  recall@10 online {recall['recall_at_10_online']} "
-        f"({recall['recall_samples']} shadow samples, hnsw); "
-        f"work {recall['ann_vs_exact_work_reduction']}x less than exact, "
-        f"wall {recall['ann_vs_exact_wall_speedup']}x "
-        f"on {recall['cpu_count']} cpu"
+        f"({recall['recall_samples']} shadow samples, exact scan); "
+        f"hnsw work {recall['ann_vs_exact_work_reduction']}x less than exact, "
+        f"wall {recall['ann_vs_exact_wall_speedup']}x, "
+        f"build {recall['ann_build_s']}s on {recall['cpu_count']} cpu"
     )
     print(
         f"  scatter-gather: batching {sharding['batching_amortization_speedup']}x "

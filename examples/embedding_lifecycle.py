@@ -3,8 +3,8 @@
 Demonstrates what "embeddings as first-class citizens" buys:
 
 1. versioned registration with automatic quality metrics and provenance,
-2. similarity search: a ``VectorService`` serves the version as an HNSW
-   table,
+2. similarity search: a ``VectorService`` serves the version (one exact
+   scan per shard),
 3. the stale-embedding hazard — a retrained embedding served to an old model
    is blocked by the compatibility check (and demonstrably harmful when
    overridden),
@@ -53,11 +53,11 @@ def main() -> None:
     print(f"registered {v1.key}: metrics {{n: {v1.metrics['n']:.0f}, "
           f"dim: {v1.metrics['dim']:.0f}}}")
 
-    # 2. Similarity search: the vector service serves v1 as an HNSW table.
+    # 2. Similarity search: the vector service serves v1.
     with VectorService(embeddings=store) as service:
-        service.enable("product_entities", backend="hnsw", n_shards=1)
+        service.enable("product_entities", n_shards=1)
         hits = service.search("product_entities", entity_emb.vectors[3], k=5)
-    print(f"hnsw search for entity 3's vector -> neighbours {hits.ids.tolist()}")
+    print(f"k-NN search for entity 3's vector -> neighbours {hits.ids.tolist()}")
 
     # 3. A downstream model trains against v1 and pins it.
     task = generate_entity_task(5000, kb.types, n_classes=kb.n_types, seed=1)

@@ -67,7 +67,6 @@ def main() -> None:
         1,
         np.arange(N_USERS, dtype=np.int64),
         rng.normal(size=(N_USERS, DIM)),
-        backend="brute",
         n_shards=2,
         sample_rate=0.0,
     )

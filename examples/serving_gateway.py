@@ -65,7 +65,7 @@ def main() -> None:
         config=GatewayConfig(cache_capacity=256, hot_capacity=32, n_workers=4),
         vectors=vectors,
     ) as gateway:
-        vectors.enable("driver_emb", backend="brute", n_shards=1)
+        vectors.enable("driver_emb", n_shards=1)
         enriched = gateway.enrich("driver_stats", 7, "driver_emb")
         print(
             f"enrich(driver=7): features={enriched.features} "

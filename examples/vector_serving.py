@@ -2,15 +2,16 @@
 
 An embedding store answers "which version?"; a serving plane answers
 "nearest neighbours, *now*, against the live corpus" — with updates that
-are visible immediately, index rebuilds that never block a query, and
+are visible immediately, rebuilds that never block a query, and
 recall that is measured in production rather than assumed from build
 time. This example walks the loop:
 
-1. register an embedding version and serve it, sharded, over HNSW,
+1. register an embedding version and serve it, sharded, as int8 codes
+   (every shard answers with one exact scan over its codes),
 2. query the service directly and through the ServingGateway's
    ``search_neighbors`` endpoint — the same plane either way,
 3. upsert fresh vectors and tombstone dead ones — both visible before
-   any index rebuild (the exact delta serves the young rows),
+   any rebuild (the exact delta serves the young rows),
 4. run a blue/green compaction: the next generation is built off to the
    side and swapped in atomically while queries keep flowing,
 5. feed mutations through the durable ingestion bus with an
@@ -45,17 +46,17 @@ N_ROWS = 400
 def main() -> None:
     rng = np.random.default_rng(11)
 
-    # 1. A registered embedding version, served sharded over HNSW with
-    #    5%-sampled online recall monitoring.
+    # 1. A registered embedding version, served sharded as int8 codes
+    #    with an fp32 reserve, so the fully sampled online recall
+    #    monitoring measures what quantization loses.
     store = EmbeddingStore()
     vectors = rng.normal(size=(N_ROWS, DIM))
     store.register("products", EmbeddingMatrix(vectors), Provenance(trainer="sgns"))
     with VectorService(embeddings=store) as service:
         service.enable(
             "products",
-            backend="hnsw", n_shards=4,
+            n_shards=4, codec="int8", keep_oracle=True,
             sample_rate=1.0, recall_k=10,
-            m=8, ef_construction=48, ef_search=32, seed=0,
         )
         print(f"serving: {service.served_tables()}")
 
@@ -108,8 +109,8 @@ def main() -> None:
         )
 
         # 6. Online quality: every query above was shadowed against the
-        #    exact oracle (sample_rate=1.0), so recall@10 is a *live*
-        #    estimate, not a build-time one.
+        #    fp32 reserve (sample_rate=1.0), so recall@10 is a *live*
+        #    estimate of the int8 codes, not a build-time one.
         monitor = service.recall_monitor("products")
         print(
             f"online recall@10 = {monitor.recall_estimate():.3f} "

@@ -102,6 +102,23 @@ def _block_scores(
     return scores
 
 
+def _column_topk(
+    scores: np.ndarray, k: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per query column of an ``(n, q)`` score matrix, the ``k`` best
+    ``(row positions, scores)``, best first. The exact float64 scans
+    (brute-force index, vecserve delta and raw snapshots) all rank
+    through here; ``k`` must not exceed ``n``."""
+    top = np.argpartition(-scores, kth=k - 1, axis=0)[:k]  # (k, q)
+    out = []
+    for column in range(scores.shape[1]):
+        rows = top[:, column]
+        column_scores = scores[rows, column]
+        order = np.argsort(-column_scores)
+        out.append((rows[order], column_scores[order]))
+    return out
+
+
 @dataclass(frozen=True)
 class CodedVectors:
     """One encoded block: the codes plus the shape they decode back to.
@@ -132,7 +149,7 @@ class VectorCodec(ABC):
     Lifecycle: construct → :meth:`train` on a representative (normalized)
     matrix → :meth:`encode` any number of row blocks. ``encode`` before
     ``train`` raises; training twice re-fits (a fresh codec per snapshot
-    generation is the intended usage, mirroring ``IndexFactory``).
+    generation is the intended usage).
     """
 
     #: registry key; subclasses override.

@@ -172,14 +172,7 @@ class CompiledPlan:
     ) -> list[dict[str, object]]:
         probes = np.full(len(candidates), as_of, dtype=np.float64)
         rows = self._index_rows(np.asarray(candidates, dtype=np.int64), probes)
-        out = [row for row in rows if row is not None]
-        self.stats = {
-            "rows_scanned": 0,
-            "rows_pruned": len(self.table),
-            "columns_decoded": len(self._window_columns()),
-            "columns_pruned": len(self.pruned_columns()),
-        }
-        return out
+        return [row for row in rows if row is not None]
 
     def _evaluate_index_at(
         self, eids: list[int], ts: list[float]
@@ -189,12 +182,6 @@ class CompiledPlan:
             np.asarray(ts, dtype=np.float64),
             emit_misses=True,
         )
-        self.stats = {
-            "rows_scanned": 0,
-            "rows_pruned": len(self.table),
-            "columns_decoded": len(self._window_columns()),
-            "columns_pruned": len(self.pruned_columns()),
-        }
         return [row for row in rows if row is not None]
 
     def _window_columns(self) -> list[str]:
@@ -219,7 +206,8 @@ class CompiledPlan:
         ``(column, window)`` once (flattened across probes, NULLs dropped),
         then assemble rows — so ``sum`` and ``count`` over one window share
         every kernel call. ``emit_misses`` selects the as-of-join shape
-        (all-None rows for empty probes).
+        (all-None rows for empty probes). Sets :attr:`stats` from the
+        rows actually read.
         """
         table = self.table
         latest_idx = table.latest_before_index_batch(eids, ts)
@@ -253,6 +241,20 @@ class CompiledPlan:
             values, null = table.gather_numeric(op.column, flat)
             kept = np.concatenate(([0], np.cumsum(~null))).astype(np.int64)
             valid[key] = (values[~null].astype(np.float64), kept[offsets])
+
+        # Every hit reads its latest row whole (``row_at``); windows read
+        # their gathered rows' columns.
+        read = np.unique(
+            np.concatenate([latest_idx[hit], *(flat for flat, __ in spans.values())])
+        )
+        n_columns = len(table.schema.columns)
+        decoded = n_columns if hit.any() else len(self._window_columns())
+        self.stats = {
+            "rows_scanned": len(read),
+            "rows_pruned": len(table) - len(read),
+            "columns_decoded": decoded,
+            "columns_pruned": n_columns - decoded,
+        }
 
         out: list[dict[str, object] | None] = []
         for probe in range(len(eids)):

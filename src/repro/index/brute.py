@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codec.codecs import _block_scores
+from repro.codec.codecs import _block_scores, _column_topk
 from repro.index.base import SearchResult, VectorIndex
 
 
@@ -32,17 +32,7 @@ class BruteForceIndex(VectorIndex):
         assert self._vectors is not None
         scores = _block_scores(self._vectors, normalized, np.float64)  # (n, q)
         self.distance_evaluations += scores.size
-        k = min(k, self.size)
-        top = np.argpartition(-scores, kth=k - 1, axis=0)[:k]  # (k, q)
-        out = []
-        for column in range(scores.shape[1]):
-            rows = top[:, column]
-            column_scores = scores[rows, column]
-            order = np.argsort(-column_scores)
-            keep = rows[order]
-            out.append(
-                SearchResult(
-                    ids=keep.astype(np.int64), scores=column_scores[order]
-                )
-            )
-        return out
+        return [
+            SearchResult(ids=rows.astype(np.int64), scores=column_scores)
+            for rows, column_scores in _column_topk(scores, min(k, self.size))
+        ]

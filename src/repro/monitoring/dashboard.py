@@ -286,7 +286,7 @@ def vector_section(service: "VectorService") -> DashboardSection:
         latency: dict[str, float] = stats["latency"]  # type: ignore[assignment]
         latest = " [latest]" if stats["latest"] else ""
         lines.append(
-            f"{key}{latest}: {stats['backend']} x{stats['n_shards']} "
+            f"{key}{latest}: {stats['codec']} x{stats['n_shards']} "
             f"gen={stats['generation']} rows={stats['snapshot_rows']} "
             f"{recall_text}"
         )

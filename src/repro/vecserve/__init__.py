@@ -1,17 +1,18 @@
-"""The vector serving plane: sharded, versioned ANN search that stays live.
+"""The vector serving plane: sharded, versioned k-NN search that stays live.
 
 The paper's §3–4 thesis is that pretrained embeddings must become
 first-class feature-store citizens — which means they need a *serving
-plane*, not just a store. ``repro.index`` gives build-once indexes;
-this package turns them into a production-shaped service:
+plane*, not just a store. This package is that plane, and every sealed
+generation is answered by one exact block scan (the approximate index
+families of :mod:`repro.index` are for experiments such as E10):
 
 * :mod:`repro.vecserve.shards` — hash-partitioned shards, scatter-gather
   top-k with deadline-bounded partial degradation (one batched read path;
   a single query is a batch of one);
-* :mod:`repro.vecserve.snapshot` — immutable index generations with
-  blue/green atomic swaps (rebuilds never block or fail a query), with
-  pluggable coded storage (:mod:`repro.codec` int8/PQ formats scanned
-  through ADC kernels);
+* :mod:`repro.vecserve.snapshot` — immutable generations with
+  blue/green atomic swaps (rebuilds never block or fail a query), stored
+  as normalized float64 rows or in a coded format (:mod:`repro.codec`
+  int8/PQ, scanned through ADC kernels);
 * :mod:`repro.vecserve.delta` — an exact side-buffer absorbing live
   upserts and tombstones, merged at query time, drained by compaction;
 * :mod:`repro.vecserve.service` — the :class:`VectorService` façade:
@@ -30,7 +31,7 @@ from repro.vecserve.bus_sink import (
 )
 from repro.vecserve.delta import DeltaFreeze, DeltaIndex
 from repro.vecserve.monitor import RecallMonitor, VectorServeMetrics
-from repro.vecserve.service import BACKENDS, VectorService
+from repro.vecserve.service import VectorService
 from repro.vecserve.shards import (
     ShardedSearchResult,
     ShardedVectorIndex,
@@ -50,7 +51,6 @@ from repro.vecserve.snapshot import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CodecFactory",
     "CompactionStats",
     "DeltaFreeze",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.codec.codecs import _block_scores
+from repro.codec.codecs import _block_scores, _column_topk
 from repro.errors import ValidationError
 from repro.index.base import SearchResult, _normalize_rows
 
@@ -210,16 +210,10 @@ class DeltaIndex:
                 return [_EMPTY_RESULT] * len(normalized_queries)
             scores = _block_scores(self._matrix[:n], normalized_queries, np.float64)
             ids = np.asarray(self._ids, dtype=np.int64)
-        k = min(k, n)
-        top = np.argpartition(-scores, kth=k - 1, axis=0)[:k]
-        out = []
-        for column in range(scores.shape[1]):
-            rows = top[:, column]
-            column_scores = scores[rows, column]
-            order = np.argsort(-column_scores)
-            keep = rows[order]
-            out.append(SearchResult(ids=ids[keep], scores=column_scores[order]))
-        return out
+        return [
+            SearchResult(ids=ids[rows], scores=column_scores)
+            for rows, column_scores in _column_topk(scores, min(k, n))
+        ]
 
     # -- compaction protocol --------------------------------------------------
 

@@ -1,8 +1,10 @@
-"""The vector service: versioned, refreshable ANN serving as one façade.
+"""The vector service: versioned, refreshable k-NN serving as one façade.
 
-This is the piece the paper's §3–4 asks for and ``repro.index`` alone
-cannot provide: the path from ``EmbeddingStore.register()`` to a
-concurrent, monitored, *refreshable* similarity-search endpoint. A
+This is the piece the paper's §3–4 asks for: the path from
+``EmbeddingStore.register()`` to a concurrent, monitored, *refreshable*
+similarity-search endpoint. Every table is answered by exact block scans
+(float64 rows, or codec codes through ADC); the approximate index
+families of :mod:`repro.index` are for experiments, not serving. A
 :class:`VectorService` keeps one :class:`~repro.vecserve.shards.ShardedVectorIndex`
 per served ``(embedding_name, version)`` table and offers:
 
@@ -45,12 +47,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import NotRegisteredError, ValidationError
-from repro.index import (
-    BruteForceIndex,
-    HNSWIndex,
-    IVFFlatIndex,
-    LSHIndex,
-)
 from repro.runtime import (
     Batcher,
     Deadline,
@@ -71,27 +67,18 @@ if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.core.embedding_store import EmbeddingStore, EmbeddingVersion
     from repro.serving import ServingMetrics
 
-BACKENDS = {
-    "brute": BruteForceIndex,
-    "lsh": LSHIndex,
-    "ivf": IVFFlatIndex,
-    "hnsw": HNSWIndex,
-}
-
-
 @dataclass
 class _ServedTable:
     """One live table: the sharded index plus its quality monitor."""
 
     name: str
     version: int
-    backend: str
     sharded: ShardedVectorIndex
     recall: RecallMonitor
 
 
 class VectorService(Service):
-    """Sharded, versioned, monitored ANN serving over embedding tables.
+    """Sharded, versioned, monitored k-NN serving over embedding tables.
 
     A :class:`repro.runtime.Service` (historical contract: constructed ==
     running). Use as a context manager, call :meth:`close`/:meth:`stop`,
@@ -169,7 +156,7 @@ class VectorService(Service):
         version: int,
         ids: np.ndarray,
         vectors: np.ndarray,
-        backend: str = "hnsw",
+        backend: str = "brute",
         n_shards: int = 4,
         deadline_s: float | None = 0.25,
         sample_rate: float = 0.05,
@@ -179,7 +166,6 @@ class VectorService(Service):
         codec_options: dict | None = None,
         keep_oracle: bool = False,
         rerank_oversample: int = 1,
-        **backend_kwargs,
     ) -> ShardedVectorIndex:
         """Build and serve a table directly from ``(ids, vectors)``.
 
@@ -189,11 +175,14 @@ class VectorService(Service):
         ``keep_oracle=True`` adds the fp32 reserve that makes recall
         monitoring measure true quantization loss and (with
         ``rerank_oversample > 1``) enables exact re-ranking of ADC
-        candidates.
+        candidates. ``backend`` accepts only ``"brute"``, the exact scan
+        every table is served by.
         """
-        if backend not in BACKENDS:
+        if backend != "brute":
             raise ValidationError(
-                f"unknown backend {backend!r}; allowed {sorted(BACKENDS)}"
+                f"unknown backend {backend!r}: every served table is an "
+                f"exact scan (backend='brute'); ANN experiments use the "
+                f"index families of repro.index"
             )
         vectors = np.asarray(vectors, dtype=float)
         if vectors.ndim != 2 or len(vectors) == 0:
@@ -201,7 +190,6 @@ class VectorService(Service):
                 f"serve_matrix expects a non-empty (n, d) matrix, "
                 f"got shape {vectors.shape}"
             )
-        factory_cls = BACKENDS[backend]
         metrics = VectorServeMetrics(
             serving=self.serving_metrics,
             mirror_endpoint=f"vector_search:{name}",
@@ -210,7 +198,6 @@ class VectorService(Service):
         )
         sharded = ShardedVectorIndex(
             dim=vectors.shape[1],
-            factory=lambda: factory_cls(**backend_kwargs),
             n_shards=n_shards,
             executor=self._executor,
             default_deadline_s=deadline_s,
@@ -234,7 +221,6 @@ class VectorService(Service):
         table = _ServedTable(
             name=name,
             version=version,
-            backend=backend,
             sharded=sharded,
             recall=recall,
         )
@@ -547,7 +533,6 @@ class VectorService(Service):
             table = self._resolve(*key)
             estimate = table.recall.recall_estimate()
             tables[f"{table.name}:v{table.version}"] = {
-                "backend": table.backend,
                 "n_shards": table.sharded.n_shards,
                 "latest": self._latest.get(table.name) == table.version,
                 "codec": table.sharded.codec_kind,

@@ -18,7 +18,9 @@ There is one read path, and a single query is a batch of one:
 :meth:`ShardedVectorIndex.search` and ``search_batch`` share one
 scatter-gather (``_scatter_gather``), and :meth:`VectorShard._live_topk`
 is the one routine that scans the sealed snapshot, masks tombstoned or
-re-upserted rows, and merges the delta through :func:`merge_topk`.
+re-upserted rows, and merges the delta through :func:`merge_topk`. Every
+scan is exact, so the recall oracle (:meth:`VectorShard.query_exact`)
+reads the same routine unless the shard keeps an fp32 reserve.
 
 Scatter-gather degrades instead of failing: a per-query deadline bounds
 the gather, shards that miss it (or raise — the per-shard
@@ -47,7 +49,6 @@ from repro.vecserve.monitor import VectorServeMetrics
 from repro.vecserve.snapshot import (
     CodecFactory,
     CompactionStats,
-    IndexFactory,
     SnapshotCell,
     build_snapshot,
     compact,
@@ -136,12 +137,11 @@ class VectorShard:
         self,
         ids: np.ndarray,
         vectors: np.ndarray,
-        factory: IndexFactory,
         codec: CodecFactory | None = None,
     ) -> None:
         """Seal the initial generation for this shard's id subset."""
         snapshot = build_snapshot(
-            ids, vectors, factory, self.cell.current().generation + 1, codec=codec
+            ids, vectors, self.cell.current().generation + 1, codec=codec
         )
         with self._rw.write_locked():
             self.cell.swap(snapshot)
@@ -168,24 +168,17 @@ class VectorShard:
     # -- read path ------------------------------------------------------------
 
     def _live_topk(
-        self, normalized_queries: np.ndarray, k: int, exact: bool = False
+        self, normalized_queries: np.ndarray, k: int
     ) -> list[SearchResult]:
         """Top-k per query over the live set: the sealed scan minus rows
         the delta masks (tombstoned or re-upserted), merged with the delta
         (delta wins). The shard's one merge-and-mask routine, read under
-        one consistent snapshot+delta view for the whole batch; ``exact``
-        swaps the sealed scan for the snapshot's exact oracle scan."""
+        one consistent snapshot+delta view for the whole batch."""
         with self._rw.read_locked():
             snapshot = self.cell.current()
             mask = self.delta.masked_ids()
             fetch = min(k + len(mask), max(snapshot.size, 1))
-            if exact:
-                base = [
-                    snapshot.search_exact(query, fetch)
-                    for query in normalized_queries
-                ]
-            else:
-                base = snapshot.search_batch(normalized_queries, fetch)
+            base = snapshot.search_batch(normalized_queries, fetch)
             if mask:
                 filtered = []
                 for result in base:
@@ -234,8 +227,8 @@ class VectorShard:
         self, normalized_queries: np.ndarray, k: int, oversample: int = 1
     ) -> list[SearchResult]:
         """Top-k per query over the live set: sealed snapshot ∪ delta,
-        delta wins, scored through the vectorized index paths (one
-        GIL-releasing matmul instead of q serialized scans).
+        delta wins, scored by block scans (GIL-releasing matmuls instead
+        of q serialized scans).
 
         ``oversample > 1`` (with an oracle reserve) fetches ``k *
         oversample`` ADC candidates and exact-re-ranks them down to k —
@@ -254,23 +247,21 @@ class VectorShard:
 
         With an fp32 reserve this scans full-precision rows — true
         ground truth even when the sealed generation is coded; without
-        one it scans the sealed matrix (decoded, for coded snapshots),
-        which measures scan correctness but not quantization loss.
+        one it is the live top-k itself (every sealed scan is exact), so
+        it measures the merge but not quantization loss.
         """
         if self.oracle is not None:
             return self.oracle.search_batch(normalized_query[None], k)[0]
-        return self._live_topk(normalized_query[None], k, exact=True)[0]
+        return self._live_topk(normalized_query[None], k)[0]
 
     # -- maintenance ----------------------------------------------------------
 
-    def compact(
-        self, factory: IndexFactory, codec: CodecFactory | None = None
-    ) -> CompactionStats:
+    def compact(self, codec: CodecFactory | None = None) -> CompactionStats:
         """One blue/green cycle; queries proceed throughout. ``codec``
         selects the next generation's storage format (a live re-encode
         is just a compaction with a different sealer)."""
         with self._compacting:  # one builder per shard at a time
-            stats = compact(self.cell, self.delta, factory, codec=codec)
+            stats = compact(self.cell, self.delta, codec=codec)
             with self._rw.write_locked():
                 self._first_pending_at = (
                     time.time() if self.pending_mutations else None
@@ -307,8 +298,8 @@ class ShardedVectorIndex:
     """Scatter-gather top-k over hash-partitioned, independently
     compactable shards.
 
-    ``factory`` builds one backend index per shard generation (so the
-    backend is uniform across shards but fresh per snapshot). The query
+    Every shard generation is answered by one exact block scan of its
+    sealed rows (float64, or codes when ``codec`` is set). The query
     pool is shared with the owning service when ``executor`` is passed;
     compactions deliberately run on the *caller's* thread so a rebuild
     can never occupy the query workers and block traffic.
@@ -317,7 +308,6 @@ class ShardedVectorIndex:
     def __init__(
         self,
         dim: int,
-        factory: IndexFactory,
         n_shards: int = 4,
         executor: ThreadPoolExecutor | None = None,
         n_workers: int | None = None,
@@ -351,7 +341,6 @@ class ShardedVectorIndex:
         if fault_policy is not None:
             fault_policy.validate()
         self.dim = dim
-        self.factory = factory
         self.n_shards = n_shards
         self.shards = [
             VectorShard(i, dim, keep_oracle=keep_oracle) for i in range(n_shards)
@@ -441,7 +430,6 @@ class ShardedVectorIndex:
                 self.shards[shard].bulk_load,
                 ids[positions],
                 vectors[positions],
-                self.factory,
                 codec,
             )
             for shard, positions in groups.items()
@@ -583,7 +571,7 @@ class ShardedVectorIndex:
         stats = []
         codec = self._codec_factory()
         for shard in self.shards:
-            shard_stats = shard.compact(self.factory, codec=codec)
+            shard_stats = shard.compact(codec=codec)
             self.metrics.record_compaction(
                 shard_stats.total_seconds, self.max_generation
             )
@@ -598,7 +586,7 @@ class ShardedVectorIndex:
 
         Sets the codec spec for all *future* generations and immediately
         compacts every shard into the new format (``None`` re-encodes
-        back to raw float64 + backend index). Queries and upserts proceed
+        back to raw float64 rows). Queries and upserts proceed
         throughout — readers stay on the old generation until each
         shard's swap, and the watermark drain guarantees no write is
         lost to the rebuild race.

@@ -13,9 +13,11 @@ after sees the new one; none ever blocks or fails because a rebuild is
 in flight.
 
 Reads are batched: :meth:`IndexSnapshot.search_batch` answers ``(q, d)``
-queries through the backend's ``query_batch`` or the codec's batched ADC
-kernel, and a single query is a batch of one. Only the exact oracle scan
-(:meth:`IndexSnapshot.search_exact`) takes one query at a time.
+queries with one exact block scan of the sealed rows (float64, or the
+codec's batched ADC kernel over codes), and a single query is a batch of
+one. There is no approximate index underneath: at the sizes this plane
+serves the exact scan is the measured winner, and it is the one read
+path. Index families for experiments live in :mod:`repro.index`.
 """
 
 from __future__ import annotations
@@ -28,15 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.codec import CodedVectors, VectorCodec, adc_topk_batch, make_codec
+from repro.codec.codecs import _block_scores, _column_topk
 from repro.errors import ValidationError
-from repro.index.base import SearchResult, VectorIndex, _normalize_rows
+from repro.index.base import SearchResult, _normalize_rows
 from repro.vecserve.delta import DeltaFreeze, DeltaIndex
 
-IndexFactory = Callable[[], VectorIndex]
-
 #: A fresh untrained codec per sealed generation (or ``None`` for raw
-#: float64 storage). Mirrors ``IndexFactory``: the builder trains/encodes
-#: a new instance per snapshot so generations never share mutable state.
+#: float64 storage): the builder trains/encodes a new instance per
+#: snapshot so generations never share mutable state.
 CodecFactory = Callable[[], VectorCodec]
 
 _EMPTY_RESULT = SearchResult(
@@ -46,26 +47,27 @@ _EMPTY_RESULT = SearchResult(
 
 @dataclass(frozen=True)
 class IndexSnapshot:
-    """One sealed generation: built index *or* coded rows + id map.
+    """One sealed generation: normalized float64 rows *or* coded rows,
+    plus the id map.
 
     Storage comes in two sealed formats:
 
-    * **raw** — ``index`` holds a built backend index over the float64
-      normalized matrix (``codec``/``coded`` are ``None``);
+    * **raw** — ``matrix`` holds the L2-normalized float64 rows
+      (``codec``/``coded`` are ``None``); queries block-scan it;
     * **coded** — ``codec``/``coded`` hold a trained
       :class:`~repro.codec.VectorCodec` and its encoded rows; queries run
-      the codec's ADC kernels over the codes (``index`` is ``None``).
+      the codec's ADC kernels over the codes (``matrix`` is ``None``).
 
     Either way nothing mutates after sealing, so concurrent queries are
-    safe without coordination. All three of ``index``/``codec``/``coded``
+    safe without coordination. All three of ``matrix``/``codec``/``coded``
     are ``None`` only for the empty generation.
     """
 
     generation: int
-    index: VectorIndex | None
     ids: np.ndarray  # internal row -> external id
     created_at: float  # wall time the generation was sealed
     build_seconds: float = 0.0
+    matrix: np.ndarray | None = None  # normalized float64 rows, parallel to ids
     codec: VectorCodec | None = None  # trained codec for coded storage
     coded: CodedVectors | None = None  # the encoded rows, parallel to ids
 
@@ -84,8 +86,8 @@ class IndexSnapshot:
         total = int(self.ids.nbytes)
         if self.coded is not None and self.codec is not None:
             total += self.coded.nbytes + self.codec.state_bytes
-        elif self.index is not None and self.index.matrix is not None:
-            total += int(self.index.matrix.nbytes)
+        elif self.matrix is not None:
+            total += int(self.matrix.nbytes)
         return total
 
     @property
@@ -98,67 +100,39 @@ class IndexSnapshot:
         """
         if self.coded is not None and self.codec is not None:
             return self.codec.decode(self.coded)
-        return None if self.index is None else self.index.matrix
+        return self.matrix
 
     def search_batch(
         self, normalized_queries: np.ndarray, k: int
     ) -> list[SearchResult]:
-        """Top-k over the sealed generation for ``(q, d)`` normalized
-        queries, in external ids — the snapshot's only approximate read;
-        a single query is a batch of one.
+        """Exact top-k over the sealed rows for ``(q, d)`` normalized
+        queries, in external ids; a single query is a batch of one.
 
-        Delegates to the index's vectorized batch path (exact indexes
-        score the whole batch in one matmul) or the codec's batched ADC
-        kernel, so a shard answers a micro-batch with one lock-free pass
-        instead of q serialized ones.
+        Raw generations are scored in one float64 block scan, coded ones
+        through the codec's batched ADC kernel (exact with respect to the
+        codes; quantization loss is only visible against the fp32 reserve
+        a shard may keep, see ``keep_oracle`` in
+        :mod:`repro.vecserve.shards`). Either way a shard answers a
+        micro-batch with one lock-free pass instead of q serialized ones.
         """
-        if self.size == 0:
-            return [_EMPTY_RESULT] * len(normalized_queries)
         if self.coded is not None and self.codec is not None:
-            return [
-                SearchResult(ids=self.ids[positions], scores=scores)
-                for positions, scores in adc_topk_batch(
-                    self.codec,
-                    self.coded,
-                    normalized_queries,
-                    min(k, self.size),
-                )
-            ]
-        if self.index is None:
+            ranked = adc_topk_batch(
+                self.codec, self.coded, normalized_queries, min(k, self.size)
+            )
+        elif self.matrix is not None:
+            scores = _block_scores(self.matrix, normalized_queries, np.float64)
+            ranked = _column_topk(scores, min(k, self.size))
+        else:
             return [_EMPTY_RESULT] * len(normalized_queries)
-        results = self.index.query_batch(
-            normalized_queries, min(k, self.size)
-        )
         return [
-            SearchResult(ids=self.ids[result.ids], scores=result.scores)
-            for result in results
+            SearchResult(ids=self.ids[positions], scores=scores)
+            for positions, scores in ranked
         ]
-
-    def search_exact(self, normalized_query: np.ndarray, k: int) -> SearchResult:
-        """Exact top-k via a full scan of the sealed rows.
-
-        For coded generations this is the full ADC scan — exact *with
-        respect to the codes*; quantization loss vs the original floats
-        is only visible against an fp32 oracle kept outside the snapshot
-        (see ``keep_oracle`` in :mod:`repro.vecserve.shards`).
-        """
-        if self.coded is not None and self.codec is not None:
-            return self.search_batch(normalized_query[None], k)[0]
-        matrix = self.vectors
-        if matrix is None or self.size == 0:
-            return _EMPTY_RESULT
-        scores = matrix @ normalized_query
-        k = min(k, len(scores))
-        top = np.argpartition(-scores, kth=k - 1)[:k]
-        order = np.argsort(-scores[top])
-        keep = top[order]
-        return SearchResult(ids=self.ids[keep], scores=scores[keep])
 
 
 def empty_snapshot(generation: int = 0) -> IndexSnapshot:
     return IndexSnapshot(
         generation=generation,
-        index=None,
         ids=np.empty(0, dtype=np.int64),
         created_at=time.time(),
     )
@@ -167,20 +141,23 @@ def empty_snapshot(generation: int = 0) -> IndexSnapshot:
 def build_snapshot(
     ids: np.ndarray,
     vectors: np.ndarray,
-    factory: IndexFactory,
     generation: int,
     codec: str | VectorCodec | CodecFactory | None = None,
 ) -> IndexSnapshot:
     """Seal a new generation from parallel ``(ids, vectors)`` arrays.
 
-    With ``codec`` (a kind name, an untrained codec, or a factory), the
-    generation is sealed *coded*: rows are L2-normalized (matching the
-    backend indexes' cosine convention), the codec trains on them, and
-    only the codes + trained state are retained — ``factory`` is unused
-    on this path, since queries run ADC scans instead of a backend index.
+    Rows are L2-normalized (every search is cosine). Without ``codec``
+    the generation keeps the normalized float64 matrix. With ``codec`` (a
+    kind name, an untrained codec, or a factory) it is sealed *coded*:
+    the codec trains on the normalized rows, and only the codes + trained
+    state are retained.
     """
     ids = np.asarray(ids, dtype=np.int64)
     vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim != 2:
+        raise ValidationError(
+            f"snapshot expects an (n, d) matrix, got shape {vectors.shape}"
+        )
     if len(ids) != len(vectors):
         raise ValidationError(
             f"snapshot got {len(ids)} ids for {len(vectors)} vectors"
@@ -190,29 +167,26 @@ def build_snapshot(
     if len(ids) == 0:
         return empty_snapshot(generation)
     start = time.perf_counter()
-    if codec is not None:
-        if callable(codec) and not isinstance(codec, VectorCodec):
-            codec = codec()  # CodecFactory: fresh instance per generation
-        built_codec = make_codec(codec)
-        normalized = _normalize_rows(vectors)
-        built_codec.train(normalized)
+    normalized = _normalize_rows(vectors)
+    if codec is None:
         return IndexSnapshot(
             generation=generation,
-            index=None,
             ids=ids,
             created_at=time.time(),
             build_seconds=time.perf_counter() - start,
-            codec=built_codec,
-            coded=built_codec.encode(normalized),
+            matrix=normalized,
         )
-    index = factory()
-    index.build(vectors)
+    if callable(codec) and not isinstance(codec, VectorCodec):
+        codec = codec()  # CodecFactory: fresh instance per generation
+    built_codec = make_codec(codec)
+    built_codec.train(normalized)
     return IndexSnapshot(
         generation=generation,
-        index=index,
         ids=ids,
         created_at=time.time(),
         build_seconds=time.perf_counter() - start,
+        codec=built_codec,
+        coded=built_codec.encode(normalized),
     )
 
 
@@ -294,7 +268,6 @@ def compose_live(
 def compact(
     cell: SnapshotCell,
     delta: DeltaIndex,
-    factory: IndexFactory,
     codec: str | VectorCodec | CodecFactory | None = None,
 ) -> CompactionStats:
     """Run one blue/green cycle: freeze → build off to the side → swap.
@@ -317,9 +290,7 @@ def compact(
     if len(ids) == 0:
         snapshot = empty_snapshot(next_generation)
     else:
-        snapshot = build_snapshot(
-            ids, vectors, factory, next_generation, codec=codec
-        )
+        snapshot = build_snapshot(ids, vectors, next_generation, codec=codec)
     cell.swap(snapshot)
     drained = delta.release(freeze)
     return CompactionStats(

@@ -114,7 +114,7 @@ class TestVectorRoute:
         with VectorService(n_workers=2) as vectors_service:
             vectors_service.serve_matrix(
                 "emb", 1, np.arange(40, dtype=np.int64), vectors,
-                backend="brute", n_shards=2, sample_rate=0.0,
+                n_shards=2, sample_rate=0.0,
             )
             gateway.vectors = vectors_service
             with _client(server) as client:
@@ -190,7 +190,7 @@ class TestHostileNumbers:
         with VectorService(n_workers=2) as vectors_service:
             vectors_service.serve_matrix(
                 "emb", 1, np.arange(40, dtype=np.int64), rng.normal(size=(40, 8)),
-                backend="brute", n_shards=2, sample_rate=0.0,
+                n_shards=2, sample_rate=0.0,
             )
             gateway.vectors = vectors_service
             status, payload = self._send(

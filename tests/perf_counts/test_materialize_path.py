@@ -100,3 +100,39 @@ def test_scheduler_tick_fuses_transform_authored_views(store):
     assert report.materialized_views == ("last", "totals")
     assert report.fused_groups == 1
     assert report.scans_saved == 1
+
+
+def test_index_strategy_counts_the_rows_it_reads():
+    """The asof-index strategy reports what it read: every hit reads its
+    latest row whole (all columns), and each window gathers its event
+    rows; the union is ``rows_scanned`` and the rest is pruned."""
+    fs = FeatureStore(clock=SimClock(start=0.0))
+    fs.register_entity("driver")
+    fs.create_source_table(
+        "rides", TableSchema(columns={"fare": "float", "tip": "float"})
+    )
+    fs.ingest(
+        "rides",
+        [
+            {
+                "entity_id": i % 7,
+                "timestamp": float(i * 60),
+                "fare": float(i % 13),
+                "tip": 1.0,
+            }
+            for i in range(300)
+        ],
+    )
+    publish(
+        fs,
+        "totals",
+        Feature("fare_sum", "float", WindowAggregate("fare", "sum", 3600.0)),
+    )
+    # window (14_400, 18_000] holds events 241..299, which include every
+    # entity's latest row (293..299)
+    fs.materialize("totals", as_of=18_000.0)
+    stats = fs.compiler_stats
+    assert stats["rows_scanned"] == 59
+    assert stats["rows_pruned"] == 300 - 59
+    assert stats["columns_decoded"] == 2
+    assert stats["columns_pruned"] == 0

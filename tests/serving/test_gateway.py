@@ -425,7 +425,7 @@ class TestVectorServing:
         from repro.vecserve import VectorService
 
         service = VectorService(embeddings=embeddings, n_workers=2)
-        service.enable("ent", backend="brute", n_shards=2, sample_rate=0.0)
+        service.enable("ent", n_shards=2, sample_rate=0.0)
         return service
 
     def test_search_neighbors_routes_through_service(self, online, embeddings):
@@ -451,7 +451,6 @@ class TestVectorServing:
         try:
             service.enable(
                 "ent",
-                backend="brute",
                 n_shards=2,
                 sample_rate=0.0,
                 fault_policy=FaultPolicy(error_rate=1.0, seed=0),

@@ -129,7 +129,7 @@ class TestEmbeddingStoreThreadSafety:
         results = []
         with VectorService(embeddings=store, n_workers=4) as service:
             service.auto_enable(
-                "emb", backend="brute", n_shards=2, sample_rate=0.0
+                "emb", n_shards=2, sample_rate=0.0
             )
             store.register(
                 "emb", EmbeddingMatrix(vectors=vectors), Provenance("t")

@@ -314,11 +314,25 @@ class TestLayering:
         assert len(violations) == 3
         assert all("repro.index" in v.rule for v in violations)
         allowed = [
-            checker.ImportEdge("repro.vecserve.service", "repro.index", 1),
-            checker.ImportEdge("repro.vecserve.shards", "repro.index.base", 2),
-            checker.ImportEdge("repro.index.brute", "repro.index.base", 3),
+            checker.ImportEdge("repro.vecserve.shards", "repro.index.base", 1),
+            checker.ImportEdge("repro.index.brute", "repro.index.base", 2),
+            checker.ImportEdge("repro.index", "repro.index.hnsw", 3),
         ]
         assert checker.check_edges(allowed) == []
+
+    def test_lint_detects_vecserve_edge_to_index_family(self):
+        """Rule 8: vecserve serves exact scans only — an edge to an index
+        family, or to the ``repro.index`` root that re-exports them all,
+        is a violation; ``repro.index.base`` is the one allowed edge."""
+        checker = _load_checker()
+        edges = [
+            checker.ImportEdge("repro.vecserve.service", "repro.index.hnsw", 1),
+            checker.ImportEdge("repro.vecserve.snapshot", "repro.index", 2),
+            checker.ImportEdge("repro.vecserve.shards", "repro.index.brute", 3),
+        ]
+        violations = checker.check_edges(edges)
+        assert [v.edge.lineno for v in violations] == [1, 2, 3]
+        assert all("repro.index" in v.rule for v in violations)
 
     def test_io_substrate_not_reexported_from_runtime_root(self):
         """Rule 7's enforcement depends on io imports being visible as

@@ -58,7 +58,7 @@ class TestSinkSemantics:
         service.serve_matrix(
             "emb", 1,
             np.arange(50, dtype=np.int64), rng.normal(size=(50, 4)),
-            backend="brute", n_shards=2, sample_rate=0.0,
+            n_shards=2, sample_rate=0.0,
         )
         yield service
         service.close()
@@ -134,7 +134,7 @@ class TestEndToEndThroughLog:
                 service.serve_matrix(
                     "emb", 1,
                     np.arange(10, dtype=np.int64), rng.normal(size=(10, 4)),
-                    backend="brute", n_shards=2, sample_rate=0.0,
+                    n_shards=2, sample_rate=0.0,
                 )
                 sink = VectorUpsertSink(service, "emb")
                 consumer = Consumer(log, group="vec")

@@ -7,7 +7,6 @@ import pytest
 
 from repro.codec import Int8Codec, make_codec
 from repro.errors import ValidationError
-from repro.index import BruteForceIndex
 from repro.vecserve.delta import DeltaIndex
 from repro.vecserve.shards import ShardedVectorIndex
 from repro.vecserve.snapshot import SnapshotCell, build_snapshot, compact
@@ -28,12 +27,11 @@ class TestCodedSnapshot:
         vectors = _matrix(20)
         ids = np.arange(500, 520, dtype=np.int64)
         snapshot = build_snapshot(
-            ids, vectors, BruteForceIndex, generation=1, codec="int8"
+            ids, vectors, generation=1, codec="int8"
         )
         assert snapshot.codec_kind == "int8"
         query = _normalize(vectors[7])
         assert snapshot.search_batch(query[None], k=1)[0].ids[0] == 507
-        assert snapshot.search_exact(query, k=1).ids[0] == 507
 
     def test_codec_factory_callable_accepted(self):
         vectors = _matrix(10)
@@ -41,7 +39,6 @@ class TestCodedSnapshot:
         snapshot = build_snapshot(
             ids,
             vectors,
-            BruteForceIndex,
             generation=1,
             codec=lambda: Int8Codec(mode="meanscale"),
         )
@@ -50,9 +47,9 @@ class TestCodedSnapshot:
     def test_coded_resident_bytes_smaller_than_raw(self):
         vectors = _matrix(200, dim=32)
         ids = np.arange(200, dtype=np.int64)
-        raw = build_snapshot(ids, vectors, BruteForceIndex, generation=1)
+        raw = build_snapshot(ids, vectors, generation=1)
         coded = build_snapshot(
-            ids, vectors, BruteForceIndex, generation=1, codec="int8"
+            ids, vectors, generation=1, codec="int8"
         )
         assert coded.bytes_resident < raw.bytes_resident / 4
 
@@ -60,7 +57,7 @@ class TestCodedSnapshot:
         vectors = _matrix(15)
         ids = np.arange(15, dtype=np.int64)
         snapshot = build_snapshot(
-            ids, vectors, BruteForceIndex, generation=1, codec="int8"
+            ids, vectors, generation=1, codec="int8"
         )
         decoded = snapshot.vectors
         assert decoded.shape == vectors.shape
@@ -70,10 +67,10 @@ class TestCodedSnapshot:
         vectors = _matrix(30)
         ids = np.arange(30, dtype=np.int64)
         cell = SnapshotCell(
-            build_snapshot(ids, vectors, BruteForceIndex, generation=1)
+            build_snapshot(ids, vectors, generation=1)
         )
         delta = DeltaIndex(dim=8)
-        stats = compact(cell, delta, BruteForceIndex, codec="pq")
+        stats = compact(cell, delta, codec="pq")
         assert stats.codec_kind == "pq"
         assert cell.current().codec_kind == "pq"
         query = _normalize(vectors[3])
@@ -85,7 +82,7 @@ class TestShardedCodedIndex:
         vectors = _matrix(n, dim=dim, seed=1)
         ids = np.arange(n, dtype=np.int64)
         sharded = ShardedVectorIndex(
-            dim=dim, n_shards=2, factory=BruteForceIndex, **kwargs
+            dim=dim, n_shards=2, **kwargs
         )
         sharded.bulk_load(ids, vectors)
         return sharded, ids, vectors
@@ -113,7 +110,6 @@ class TestShardedCodedIndex:
             ShardedVectorIndex(
                 dim=8,
                 n_shards=1,
-                factory=BruteForceIndex,
                 codec="int8",
                 rerank_oversample=4,
             )
@@ -121,7 +117,7 @@ class TestShardedCodedIndex:
     def test_unknown_codec_rejected_eagerly(self):
         with pytest.raises(ValidationError, match="unknown codec kind"):
             ShardedVectorIndex(
-                dim=8, n_shards=1, factory=BruteForceIndex, codec="zstd"
+                dim=8, n_shards=1, codec="zstd"
             )
 
     def test_reencode_transitions_codec_kind(self):

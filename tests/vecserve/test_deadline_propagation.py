@@ -34,7 +34,6 @@ def corpus():
 
 def _serve(service, corpus, **kwargs):
     ids, vectors = corpus
-    kwargs.setdefault("backend", "brute")
     kwargs.setdefault("n_shards", 2)
     kwargs.setdefault("sample_rate", 0.0)
     service.serve_matrix("emb", 1, ids, vectors, **kwargs)

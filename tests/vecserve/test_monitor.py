@@ -105,12 +105,12 @@ class TestDashboardSection:
             service.serve_matrix(
                 "emb", 1,
                 np.arange(30, dtype=np.int64), rng.normal(size=(30, 8)),
-                backend="brute", n_shards=2, sample_rate=1.0,
+                n_shards=2, sample_rate=1.0,
             )
             service.search("emb", rng.normal(size=8), k=5)
             rendered = vector_section(service).render()
         assert "vector serving" in rendered
-        assert "emb:v1 [latest]: brute x2" in rendered
+        assert "emb:v1 [latest]: raw x2" in rendered
         assert "recall@10=1.000" in rendered
         assert "delta: rows=0" in rendered
 
@@ -133,7 +133,7 @@ class TestDashboardSection:
             service.serve_matrix(
                 "emb", 1,
                 np.arange(10, dtype=np.int64), rng.normal(size=(10, 4)),
-                backend="brute", n_shards=1, sample_rate=0.0,
+                n_shards=1, sample_rate=0.0,
             )
             pane = render_dashboard(
                 FeatureStore(), AlertLog(), vectors=service
@@ -172,7 +172,7 @@ class TestRecallContexts:
             service.serve_matrix(
                 "emb", 1,
                 np.arange(40, dtype=np.int64), rng.normal(size=(40, 16)),
-                backend="brute", n_shards=2, sample_rate=1.0,
+                n_shards=2, sample_rate=1.0,
                 codec="int8", keep_oracle=True,
             )
             service.search("emb", rng.normal(size=16), k=5)

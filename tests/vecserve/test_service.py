@@ -21,7 +21,6 @@ def corpus():
 
 def _serve(service, corpus, name="emb", version=1, **kwargs):
     ids, vectors = corpus
-    kwargs.setdefault("backend", "brute")
     kwargs.setdefault("n_shards", 2)
     kwargs.setdefault("sample_rate", 0.0)
     service.serve_matrix(name, version, ids, vectors, **kwargs)
@@ -35,7 +34,7 @@ class TestRouting:
             shifted = np.roll(vectors, 1, axis=0)  # v2 permutes the rows
             service.serve_matrix(
                 "emb", 2, ids, shifted,
-                backend="brute", n_shards=2, sample_rate=0.0,
+                n_shards=2, sample_rate=0.0,
             )
             pinned = service.search("emb", vectors[10], k=1, version=1)
             latest = service.search("emb", vectors[10], k=1)
@@ -73,7 +72,7 @@ class TestStoreSubscription:
         store = EmbeddingStore()
         with VectorService(embeddings=store, n_workers=4) as service:
             service.auto_enable(
-                "users", backend="brute", n_shards=2, sample_rate=0.0
+                "users", n_shards=2, sample_rate=0.0
             )
             store.register(
                 "users", EmbeddingMatrix(vectors), Provenance(trainer="t")
@@ -96,13 +95,13 @@ class TestStoreSubscription:
                 "users", EmbeddingMatrix(vectors), Provenance(trainer="t")
             )
             first = service.enable(
-                "users", backend="brute", n_shards=2, sample_rate=0.0
+                "users", n_shards=2, sample_rate=0.0
             )
             again = service.enable("users")
             assert first is again  # second enable returns the live table
 
     def test_brute_tables_match_reference_index(self, corpus):
-        """1-shard and 3-shard ``backend="brute"`` tables over a stored
+        """1-shard and 3-shard tables (exact scans) over a stored
         version answer like ``repro.index.BruteForceIndex`` built on the
         same matrix."""
         __, vectors = corpus
@@ -118,7 +117,7 @@ class TestStoreSubscription:
         for n_shards in (1, 3):
             with VectorService(embeddings=store, n_workers=4) as service:
                 service.enable(
-                    "users", backend="brute", n_shards=n_shards, sample_rate=0.0
+                    "users", n_shards=n_shards, sample_rate=0.0
                 )
                 for query in queries:
                     served = service.search("users", query, k=5)
@@ -234,7 +233,8 @@ class TestSnapshotShape:
             _serve(service, corpus, sample_rate=1.0)
             service.search("emb", corpus[1][0], k=5)
             stats = service.snapshot()["tables"]["emb:v1"]
-            assert stats["backend"] == "brute"
+            assert "backend" not in stats
+            assert stats["codec"] == "raw"
             assert stats["latest"] is True
             assert stats["recall_estimate"] == 1.0
             assert stats["queries"] == 1

@@ -9,21 +9,11 @@ from repro.errors import ValidationError
 from repro.index import BruteForceIndex, recall_at_k
 from repro.index.base import SearchResult
 from repro.runtime import FaultPolicy
-from repro.vecserve import BACKENDS
 from repro.vecserve.shards import (
     ShardedVectorIndex,
     merge_topk,
     shard_for,
 )
-
-
-#: Backend settings sized for ~75-row shards (as in test_backend_parity).
-PARITY_KWARGS = {
-    "brute": {},
-    "lsh": {"n_tables": 8, "n_bits": 10, "seed": 0},
-    "ivf": {"n_cells": 8, "n_probes": 4, "seed": 0},
-    "hnsw": {"m": 8, "ef_construction": 64, "ef_search": 48, "seed": 0},
-}
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +24,7 @@ def data():
 
 def _sharded(data, n_shards=4, **kwargs):
     ids, vectors = data
-    index = ShardedVectorIndex(
-        dim=8, factory=BruteForceIndex, n_shards=n_shards, **kwargs
-    )
+    index = ShardedVectorIndex(dim=8, n_shards=n_shards, **kwargs)
     index.bulk_load(ids, vectors)
     return index
 
@@ -82,7 +70,7 @@ class TestParity:
 
     def test_search_batch_matches_single_queries(self, data):
         """``search(q)`` and ``search_batch`` answer identically on every
-        backend × storage format, over a live set with upserts (new and
+        storage format, over a live set with upserts (new and
         shadowing) and tombstones, with oracle re-ranking, and at a k
         larger than the live row count."""
         ids, vectors = data
@@ -91,20 +79,12 @@ class TestParity:
         fresh_ids = np.asarray([9001, 9002, 17, 42], dtype=np.int64)
         fresh = rng.normal(size=(4, 8))
         dead = np.asarray([3, 99, 9002, 123], dtype=np.int64)
-        configs = [
-            (backend, {"codec": codec})
-            for backend in sorted(BACKENDS)
-            for codec in (None, "fp32", "int8", "pq")
-        ] + [
-            (
-                "brute",
-                {"codec": "int8", "keep_oracle": True, "rerank_oversample": 4},
-            )
+        configs = [{"codec": codec} for codec in (None, "fp32", "int8", "pq")] + [
+            {"codec": "int8", "keep_oracle": True, "rerank_oversample": 4}
         ]
-        for backend, options in configs:
+        for options in configs:
             with ShardedVectorIndex(
                 dim=8,
-                factory=lambda: BACKENDS[backend](**PARITY_KWARGS[backend]),
                 n_shards=4,
                 default_deadline_s=30.0,
                 **options,
@@ -114,7 +94,7 @@ class TestParity:
                 sharded.remove(dead)
                 live = len(ids) + 2 - 3
                 for k in (5, live + 50):
-                    label = f"{backend} {options} k={k}"
+                    label = f"{options} k={k}"
                     batched = sharded.search_batch(queries, k=k)
                     for query, batch_result in zip(queries, batched):
                         single = sharded.search(query, k=k)
@@ -184,7 +164,7 @@ class TestLiveMutations:
             assert 23 not in sharded.search(data[1][23], k=50).ids.tolist()
 
     def test_duplicate_bulk_load_ids_rejected(self):
-        index = ShardedVectorIndex(dim=8, factory=BruteForceIndex, n_shards=2)
+        index = ShardedVectorIndex(dim=8, n_shards=2)
         with pytest.raises(ValidationError):
             index.bulk_load(
                 np.asarray([1, 1], dtype=np.int64), np.zeros((2, 8))

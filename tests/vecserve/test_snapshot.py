@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.index import BruteForceIndex
 from repro.vecserve.delta import DeltaIndex
 from repro.vecserve.snapshot import (
     SnapshotCell,
@@ -26,10 +25,10 @@ class TestSnapshot:
     def test_search_maps_rows_to_external_ids(self):
         vectors = _matrix(10)
         ids = np.arange(100, 110, dtype=np.int64)
-        snapshot = build_snapshot(ids, vectors, BruteForceIndex, generation=1)
+        snapshot = build_snapshot(ids, vectors, generation=1)
         query = vectors[4] / np.linalg.norm(vectors[4])
         assert snapshot.search_batch(query[None], k=1)[0].ids[0] == 104
-        assert snapshot.search_exact(query, k=1).ids[0] == 104
+        np.testing.assert_allclose(np.linalg.norm(snapshot.matrix, axis=1), 1.0)
         assert snapshot.generation == 1
         assert snapshot.size == 10
         assert snapshot.build_seconds >= 0
@@ -38,14 +37,12 @@ class TestSnapshot:
         snapshot = empty_snapshot()
         assert snapshot.size == 0
         assert len(snapshot.search_batch(np.zeros((1, 4)), k=5)[0]) == 0
-        assert len(snapshot.search_exact(np.zeros(4), k=5)) == 0
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
             build_snapshot(
                 np.asarray([1, 1], dtype=np.int64),
                 _matrix(2),
-                BruteForceIndex,
                 generation=1,
             )
 
@@ -54,15 +51,18 @@ class TestSnapshot:
             build_snapshot(
                 np.asarray([1], dtype=np.int64),
                 _matrix(2),
-                BruteForceIndex,
                 generation=1,
+            )
+        with pytest.raises(ValidationError):  # one row, not an (n, d) matrix
+            build_snapshot(
+                np.arange(4, dtype=np.int64), _matrix(1)[0], generation=1
             )
 
     def test_cell_swap_counts_and_returns_previous(self):
         cell = SnapshotCell()
         first = cell.current()
         replacement = build_snapshot(
-            np.arange(3, dtype=np.int64), _matrix(3), BruteForceIndex, 1
+            np.arange(3, dtype=np.int64), _matrix(3), 1
         )
         previous = cell.swap(replacement)
         assert previous is first
@@ -74,7 +74,7 @@ class TestComposeLive:
     def test_masked_rows_dropped_and_delta_appended(self):
         vectors = _matrix(4)
         snapshot = build_snapshot(
-            np.arange(4, dtype=np.int64), vectors, BruteForceIndex, 1
+            np.arange(4, dtype=np.int64), vectors, 1
         )
         delta = DeltaIndex(dim=4)
         delta.upsert(np.asarray([2], dtype=np.int64), _matrix(1, seed=5))
@@ -87,7 +87,7 @@ class TestComposeLive:
     def test_empty_freeze_passthrough(self):
         vectors = _matrix(3)
         snapshot = build_snapshot(
-            np.arange(3, dtype=np.int64), vectors, BruteForceIndex, 1
+            np.arange(3, dtype=np.int64), vectors, 1
         )
         ids, composed = compose_live(snapshot, DeltaIndex(dim=4).freeze())
         assert ids.tolist() == [0, 1, 2]
@@ -99,7 +99,7 @@ class TestCompact:
         vectors = _matrix(8)
         cell = SnapshotCell(
             build_snapshot(
-                np.arange(8, dtype=np.int64), vectors, BruteForceIndex, 1
+                np.arange(8, dtype=np.int64), vectors, 1
             )
         )
         delta = DeltaIndex(dim=4)
@@ -107,7 +107,7 @@ class TestCompact:
         delta.upsert(np.asarray([100, 101], dtype=np.int64), fresh)
         delta.remove(np.asarray([3], dtype=np.int64))
 
-        stats = compact(cell, delta, BruteForceIndex)
+        stats = compact(cell, delta)
 
         assert stats.generation == 2
         assert stats.folded_upserts == 2
@@ -123,12 +123,12 @@ class TestCompact:
         vectors = _matrix(2)
         cell = SnapshotCell(
             build_snapshot(
-                np.arange(2, dtype=np.int64), vectors, BruteForceIndex, 1
+                np.arange(2, dtype=np.int64), vectors, 1
             )
         )
         delta = DeltaIndex(dim=4)
         delta.remove(np.arange(2, dtype=np.int64))
-        stats = compact(cell, delta, BruteForceIndex)
+        stats = compact(cell, delta)
         assert cell.current().size == 0
         assert stats.base_rows == 0
 
@@ -137,7 +137,7 @@ class TestCompact:
         always see a complete generation."""
         vectors = _matrix(64, seed=1)
         ids = np.arange(64, dtype=np.int64)
-        cell = SnapshotCell(build_snapshot(ids, vectors, BruteForceIndex, 1))
+        cell = SnapshotCell(build_snapshot(ids, vectors, 1))
         delta = DeltaIndex(dim=4)
         stop = threading.Event()
         failures: list[BaseException] = []
@@ -160,7 +160,7 @@ class TestCompact:
             delta.upsert(
                 np.asarray([1000 + i], dtype=np.int64), rng.normal(size=(1, 4))
             )
-            compact(cell, delta, BruteForceIndex)
+            compact(cell, delta)
         stop.set()
         for thread in threads:
             thread.join()

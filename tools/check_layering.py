@@ -61,14 +61,18 @@ Eight rules keep it a DAG:
    deliberately *not* re-exported from ``repro.runtime``'s package
    root — a storage or serving module reaching for an event loop is a
    design smell this rule turns into a lint failure.
-8. **One k-NN path: the index substrate belongs to vecserve.**
-   ``repro.index`` (the brute/LSH/IVF/HNSW indexes) may be imported at
-   runtime only by ``repro.vecserve`` and by ``repro.index`` itself.
-   Every similarity search in the library goes through
-   :class:`repro.vecserve.VectorService`; a store, gateway or monitor
-   building its own index would be a second search path. Benchmarks
-   and tests are not checked, so they may still use an index directly
-   (as an exact reference, say).
+8. **One k-NN path, and it serves no index family.** Outside
+   ``repro.index`` itself, the only runtime import of the index
+   substrate is ``repro.vecserve`` importing ``repro.index.base`` (the
+   shared ``SearchResult``, ``RWLock`` and row normalization). Every
+   similarity search in the library goes through
+   :class:`repro.vecserve.VectorService`, whose sealed generations are
+   exact scans; a store, gateway or monitor building its own index would
+   be a second search path, and vecserve reaching for an index family
+   (brute/LSH/IVF/HNSW, or the ``repro.index`` root that re-exports
+   them) would bring an unmeasured one back. Benchmarks and tests are
+   not checked, so they may still use an index directly (E10's
+   trade-off, or an exact reference).
 
 ``if TYPE_CHECKING:`` blocks are exempt — annotations may name
 cross-plane types without creating a runtime edge.
@@ -360,20 +364,21 @@ def check_edges(edges: list[ImportEdge]) -> list[Violation]:
                     )
                 )
                 continue
-        # Rule 8: the index substrate is vecserve's alone.
+        # Rule 8: only vecserve reaches the index substrate, and only its base.
         if edge.imported == "repro.index" or edge.imported.startswith(
             "repro.index."
         ):
-            allowed = edge.importer.startswith(
-                ("repro.vecserve", "repro.index")
+            allowed = edge.importer.startswith("repro.index") or (
+                edge.importer.startswith("repro.vecserve")
+                and edge.imported == "repro.index.base"
             )
             if not allowed:
                 violations.append(
                     Violation(
                         edge,
-                        "repro.index is the k-NN substrate of vecserve — "
-                        "only repro.vecserve and repro.index itself may "
-                        "import it",
+                        "repro.index families are for benches and tests — "
+                        "only repro.vecserve may import repro.index.base, "
+                        "and nothing else in repro may import repro.index",
                     )
                 )
                 continue
